@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
 
 from coinwalk import (
     CoinProfile,
+    SpectralResult,
     WalkerState,
     antisymmetric_mode,
     build_profile,
@@ -11,6 +14,7 @@ from coinwalk import (
     diagonalize,
     find_bound_states,
     fit_splitting_decay,
+    mode_residual,
     oracle_compare,
     single_boundary_mode,
     solve_wire_energy,
@@ -18,6 +22,7 @@ from coinwalk import (
     step,
     step_matrix_residual,
 )
+from coinwalk import spectral
 
 # finite-block reference energies E/pi (reflecting ends, three block angles)
 REFERENCE_ENERGIES = {
@@ -52,6 +57,12 @@ class TestBuildUnitary:
         for _ in range(5):
             state = random_state(rng, 24)
             assert step_matrix_residual(prof, state) < 1e-13
+
+    def test_real_with_exact_zeros_for_reflecting_coins(self):
+        mat = build_unitary(build_profile("uniform", 8, np.pi / 2))
+        assert mat.dtype == np.float64
+        assert np.count_nonzero(mat) == 16
+        assert np.array_equal(mat @ mat.T, np.eye(16))
 
     def test_matrix_power_matches_evolution(self):
         rng = np.random.default_rng(52)
@@ -113,6 +124,124 @@ class TestDiagonalize:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             diagonalize(build_profile("uniform", 600, 0.3))
+
+    def test_misplaced_cluster_split_raises(self, monkeypatch):
+        # with every cos E its own cluster, each +/-E pair is taken for two
+        # real eigenvectors; the eigen-residual guard must reject that
+        monkeypatch.setattr(spectral, "_CLUSTER_GAP", -1.0)
+        with pytest.raises(RuntimeError, match="eigen-residual"):
+            diagonalize(build_profile("uniform", 16, np.pi / 4))
+
+
+def eig_reference(profile):
+    """Dense complex eigen-decomposition with np.linalg.eig, the oracle's reference."""
+    values, vectors = np.linalg.eig(build_unitary(profile).astype(complex))
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    site_prob = (np.abs(vectors) ** 2).reshape(profile.length, 2, -1).sum(axis=1)
+    return SpectralResult(
+        quasi_energies=-np.angle(values),
+        vectors=vectors,
+        ipr=(site_prob**2).sum(axis=0),
+        length=profile.length,
+        indices=np.arange(values.size),
+    )
+
+
+def match_energies(energies, reference):
+    """Pairing of two quasi-energy multisets that minimizes circle distances."""
+    cost = circle_distance(energies[:, None], reference[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return cols[np.argsort(rows)], cost[rows, cols].max()
+
+
+# theta2 in each (sgn sin, sgn cos) quadrant; exterior angles per layout, with
+# reflecting (+/- pi/2) ends on the single and wire layouts
+QUADRANT_THETA2 = (0.3 * np.pi, 0.7 * np.pi, -0.3 * np.pi, -0.7 * np.pi)
+LAYOUT_THETA1 = {
+    "uniform": None,
+    "single": 0.5 * np.pi,
+    "symmetric": 0.6 * np.pi,
+    "antisymmetric": 0.35 * np.pi,
+    "wire": 0.5 * np.pi,
+}
+
+
+def assert_matches_dense_eig(profile):
+    """Energies, eigenpairs, IPRs and bound-state counts against ``eig_reference``."""
+    result = diagonalize(profile)
+    reference = eig_reference(profile)
+    partner, energy_gap = match_energies(result.quasi_energies, reference.quasi_energies)
+    assert energy_gap < 1e-12
+
+    mat = build_unitary(profile)
+    vecs = result.vectors
+    residual = mat @ vecs - vecs * np.exp(-1j * result.quasi_energies)
+    assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-10
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(2 * profile.length))) <= 1e-12
+
+    # a degenerate eigenspace has no preferred basis, so neither do its IPRs
+    spacing = circle_distance(result.quasi_energies[:, None], result.quasi_energies[None, :])
+    np.fill_diagonal(spacing, np.inf)
+    isolated = spacing.min(axis=1) > 1e-6
+    assert np.allclose(result.ipr[isolated], reference.ipr[partner[isolated]], atol=1e-8)
+    for target in (0.0, np.pi):
+        assert find_bound_states(result, target).count == find_bound_states(reference, target).count
+
+
+@pytest.mark.parametrize("length", [64, 128])
+@pytest.mark.parametrize("theta2", QUADRANT_THETA2, ids=["+sin+cos", "+sin-cos", "-sin+cos", "-sin-cos"])
+@pytest.mark.parametrize("kind", sorted(LAYOUT_THETA1))
+def test_diagonalize_matches_dense_eig(kind, theta2, length):
+    if kind == "uniform":
+        profile = build_profile(kind, length, theta2)
+    else:
+        theta1 = -np.sign(np.sin(theta2)) * LAYOUT_THETA1[kind]
+        profile = build_profile(kind, length, theta1, theta2, wire_length=6)
+    assert_matches_dense_eig(profile)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        build_profile("uniform", 128, 0.499 * np.pi),
+        build_profile("symmetric", 128, 0.501 * np.pi, -0.475 * np.pi, wire_length=5),
+    ],
+    ids=["uniform", "symmetric"],
+)
+def test_near_reflecting_coins_match_dense_eig(profile):
+    # coins close to +/- pi/2 give a narrow band that the cluster gap merges
+    # into clusters of tens to hundreds of members
+    assert_matches_dense_eig(profile)
+
+
+def test_planted_spectrum_across_cluster_threshold():
+    # eigenvalue pairs whose cos E differ by just under and just over the
+    # clustering gap, near E = 0, pi/2 and pi and in between, plus exact
+    # degeneracies and real eigenvalues +1 and -1; pi/2 -/+ gap/4 share sin E
+    gap = spectral._CLUSTER_GAP
+    angles = []
+    for base in (1e-3, 0.02, 0.4, np.pi / 2 - gap / 4, np.pi / 2, 2.0, np.pi - 0.02):
+        for step_size in (0.5 * gap, 2.0 * gap):
+            angles += [base, np.arccos(np.clip(np.cos(base) - step_size, -1.0, 1.0))]
+    angles += [0.9, 0.9, 0.9, 1.3]
+    blocks = [np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]]) for a in angles]
+    size = 2 * len(angles) + 3
+    rotation = np.zeros((size, size))
+    for i, block in enumerate(blocks):
+        rotation[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = block
+    rotation[-3:, -3:] = np.diag([1.0, 1.0, -1.0])
+    rng = np.random.default_rng(60)
+    frame, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    mat = frame @ rotation @ frame.T
+
+    energies, vectors, residual = spectral._eig_orthogonal(csr_array(mat))
+    planted = np.concatenate([angles, -np.asarray(angles), [0.0, 0.0, np.pi]])
+    assert match_energies(energies, planted)[1] < 1e-12
+    assert np.all(np.diff(energies) >= 0)
+    assert residual <= 1e-10
+    gaps = np.linalg.norm(mat @ vectors - vectors * np.exp(-1j * energies), axis=0)
+    assert np.max(gaps) <= 1e-10
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(size))) <= 1e-12
 
 
 class TestFindBoundStates:
@@ -280,6 +409,22 @@ class TestOracleCompare:
         sol = antisymmetric_mode(-np.pi / 4, np.pi / 4, 0.0, 10, 64)
         with pytest.raises(ValueError):
             oracle_compare(sol, build_profile("uniform", 32, 0.3))
+
+
+class TestModeResidual:
+    @pytest.mark.parametrize("energy", [0.0, np.pi])
+    def test_matches_dense_matrix_action(self, energy):
+        for sol in (
+            antisymmetric_mode(-0.3 * np.pi, 0.7 * np.pi, energy, 10, 96),
+            single_boundary_mode(0.25 * np.pi, -0.4 * np.pi, energy, 96),
+        ):
+            psi = sol.wavefunction.amplitudes
+            dense = build_unitary(sol.profile) @ psi - np.exp(-1j * energy) * psi
+            keep = np.ones(96, dtype=bool)
+            for site in sol.seam:
+                keep[[(site + d) % 96 for d in (-1, 0, 1)]] = False
+            expected = np.max(np.abs(dense.reshape(96, 2)[keep]))
+            assert abs(mode_residual(sol) - expected) < 1e-15
 
 
 class TestConditionConsistency:
