@@ -15,8 +15,8 @@ import argparse
 import datetime
 import io
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -81,6 +81,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _json_cell(value) -> str:
+    """Encode one data cell exactly as ``json.dumps`` does."""
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _json_rows(columns, rows) -> str:
+    """Data rows as ``json.dumps(rows_as_dicts, indent=2)`` writes them inside the payload.
+
+    The pure-Python encoder that ``indent`` selects costs more than the
+    computation for large outputs, so every row fills one fixed template.
+    """
+    # dict(zip(columns, row)) keeps a repeated key at its first place with its last value
+    place = dict(zip(columns, range(len(columns))))
+    if len(place) < len(columns):
+        rows = [[row[i] for i in place.values()] for row in rows]
+    fields = ",".join(f"\n      {json.dumps(key).replace('%', '%%')}: %s" for key in place)
+    template = "    {" + fields + "\n    }"
+    return ",\n".join(template % tuple(map(_json_cell, row)) for row in rows)
+
+
 def _emit(args, command: str, params: dict, columns, rows, extras=None) -> None:
     """Write one run as JSON (canonical) or CSV (flat projection)."""
     extras = extras or {}
@@ -95,10 +120,15 @@ def _emit(args, command: str, params: dict, columns, rows, extras=None) -> None:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "meta": meta,
-            "data": [dict(zip(columns, row)) for row in rows],
+            "data": [],
             "extras": extras,
         }
         text = json.dumps(payload, indent=2) + "\n"
+        if rows:
+            # Only top-level keys start a line with exactly two spaces and a
+            # quote, so this finds the (empty) data list of the payload.
+            head, tail = text.split('\n  "data": []', 1)
+            text = f'{head}\n  "data": [\n{_json_rows(columns, rows)}\n  ]{tail}'
     else:
         buf = io.StringIO()
         buf.write(f"# schema_version={SCHEMA_VERSION}\n")
@@ -249,20 +279,11 @@ def cmd_wire_spectrum(args) -> int:
 
     def solve_cell(token, n):
         try:
-            return (token, n), float(solve_wire_energy(-np.pi / 2, values[token], n) / np.pi)
+            return float(solve_wire_energy(-np.pi / 2, values[token], n) / np.pi)
         except (ValueError, RuntimeError) as exc:
-            return (token, n), str(exc)
+            return str(exc)
 
-    cells = [(token, n) for token in thetas for n in block_range]
-    results: dict = {}
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for key, value in pool.map(lambda cell: solve_cell(*cell), cells):
-                results[key] = value
-    else:
-        for cell in cells:
-            key, value = solve_cell(*cell)
-            results[key] = value
+    results = {(token, n): solve_cell(token, n) for token in thetas for n in block_range}
 
     columns = ["N"] + [f"E_over_pi[{token}]" for token in thetas]
     rows = []
@@ -307,7 +328,6 @@ def cmd_wire_spectrum(args) -> int:
             "n_min": args.n_min,
             "n_max": args.n_max,
             "fit_min_n": args.fit_min_n,
-            "jobs": args.jobs,
         },
         columns,
         rows,
@@ -356,6 +376,9 @@ def cmd_evolve(args) -> int:
     if args.steps < 0:
         print("error: --steps must be non-negative", file=sys.stderr)
         return 2
+    if args.snapshot_every < 0:
+        print("error: --snapshot-every must be non-negative", file=sys.stderr)
+        return 2
     profile = _profile_from_args(args)
     try:
         state = _initial_state(args, profile)
@@ -370,8 +393,8 @@ def cmd_evolve(args) -> int:
     for t in snapshots:
         current = evolve(current, profile, t - previous_t)
         previous_t = t
-        prob = position_distribution(current)
-        rows.extend((t, site, float(p)) for site, p in enumerate(prob))
+        prob = position_distribution(current).tolist()
+        rows.extend((t, site, p) for site, p in enumerate(prob))
     extras = {"final_norm": float(np.linalg.norm(current.amplitudes) ** 2)}
     _emit(
         args,
@@ -484,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--fit-min-n", type=int, default=5)
-    p.add_argument("--jobs", type=_positive_int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_wire_spectrum)
 

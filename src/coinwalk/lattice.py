@@ -262,25 +262,39 @@ def apply_shift(state: WalkerState) -> WalkerState:
 
 def step(state: WalkerState, profile: CoinProfile) -> WalkerState:
     """One full evolution step, coin followed by shift."""
-    return apply_shift(apply_coin(state, profile))
+    return evolve(state, profile, 1)
 
 
 def evolve(state: WalkerState, profile: CoinProfile, t: int) -> WalkerState:
-    """Apply ``t`` steps; t = 0 returns the input state unchanged."""
+    """Apply ``t`` steps; t = 0 returns the input state unchanged.
+
+    The result equals ``t`` applications of ``apply_shift(apply_coin(.))``
+    bit for bit: the same products and sums are taken, written into
+    preallocated buffers, and the sums land directly in shifted slices.
+    """
     t = int(t)
     if t < 0:
         raise ValueError("step count must be non-negative")
     if t == 0:
         return state
     _check_same_length(state, profile)
-    c, s = np.cos(profile.angles), np.sin(profile.angles)
-    a, b = _split(state)
-    a, b = a.copy(), b.copy()
+    c = np.cos(profile.angles).astype(complex)
+    s = np.sin(profile.angles).astype(complex)
+    psi = state.spinors().T.copy()  # rows a and b
+    cos_part = np.empty_like(psi)  # (c a, c b)
+    sin_part = np.empty_like(psi)  # (s b, s a)
+    swapped = psi[::-1]
+    a, b = psi
+    (ca, cb), (sb, sa) = cos_part, sin_part
     for _ in range(t):
-        a, b = c * a + s * b, -s * a + c * b
-        a = np.roll(a, -1)
-        b = np.roll(b, 1)
-    return _join(a, b)
+        np.multiply(c, psi, out=cos_part)
+        np.multiply(s, swapped, out=sin_part)
+        # a'_n = (c a + s b)_{n+1},  b'_n = (c b - s a)_{n-1}
+        np.add(ca[1:], sb[1:], out=a[:-1])
+        np.add(ca[:1], sb[:1], out=a[-1:])
+        np.subtract(cb[:-1], sa[:-1], out=b[1:])
+        np.subtract(cb[-1:], sa[-1:], out=b[:1])
+    return WalkerState(psi.T.ravel())
 
 
 def position_distribution(state: WalkerState) -> np.ndarray:

@@ -1,8 +1,12 @@
+import argparse
+import datetime
 import json
+import types
 
 import numpy as np
 import pytest
 
+from coinwalk import cli
 from coinwalk.cli import main
 
 REFERENCE_TABLE = {
@@ -131,16 +135,6 @@ class TestWireSpectrumCommand:
         fit = fits[0]
         assert abs(fit["slope"] + fit["kappa2_predicted"]) / fit["kappa2_predicted"] < 0.02
 
-    def test_jobs_do_not_change_output(self, capsys):
-        _, serial = run_json(
-            capsys, ["wire-spectrum", "--theta2-list", "1/4,1/6", "--n-max", "6"]
-        )
-        _, threaded = run_json(
-            capsys,
-            ["wire-spectrum", "--theta2-list", "1/4,1/6", "--n-max", "6", "--jobs", "3"],
-        )
-        assert serial["data"] == threaded["data"]
-
     def test_six_significant_digits(self, capsys):
         _, payload = run_json(
             capsys, ["wire-spectrum", "--theta2-list", "1/4", "--n-max", "2"]
@@ -189,6 +183,18 @@ class TestEvolveCommand:
         first, last = by_time[0], by_time[60]
         drift = max(abs(first[m] - last[m]) for m in first)
         assert drift < 1e-9
+
+    def test_negative_snapshot_interval_is_usage_error(self, capsys):
+        code = main(
+            [
+                "evolve", "--kind", "uniform", "--theta1", "0.25",
+                "--n-sites", "16", "--steps", "10", "--snapshot-every", "-3",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_bound_init_needs_boundary_kind(self, capsys):
         assert (
@@ -287,3 +293,90 @@ class TestOutputContracts:
 
     def test_missing_subcommand_usage_error(self, capsys):
         assert main([]) == 2
+
+
+class TestEmitterParity:
+    """JSON output byte for byte against the standard library encoder of the same payload."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        class FixedClock(datetime.datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return datetime.datetime(2020, 1, 2, 3, 4, 5, tzinfo=tz)
+
+        monkeypatch.setattr(
+            cli, "datetime", types.SimpleNamespace(datetime=FixedClock, timezone=datetime.timezone)
+        )
+        calls = []
+        emit = cli._emit
+
+        def record(args, command, params, columns, rows, extras=None):
+            calls.append((args, command, params, columns, list(rows), extras))
+            emit(args, command, params, columns, rows, extras)
+
+        monkeypatch.setattr(cli, "_emit", record)
+        return calls
+
+    @staticmethod
+    def reference(args, command, params, columns, rows, extras):
+        payload = {
+            "schema_version": cli.SCHEMA_VERSION,
+            "meta": {
+                "command": command,
+                "version": cli.__version__,
+                "generated_at": "2020-01-02T03:04:05+00:00",
+                "seed": args.seed,
+                "params": params,
+            },
+            "data": [dict(zip(columns, row)) for row in rows],
+            "extras": extras or {},
+        }
+        return json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dispersion", "--theta", "0", "--k-points", "9"],
+            ["winding", "--theta-min", "-0.5", "--theta-max", "0.5", "--steps", "5"],
+            ["bound-single", "--theta1", "0.25", "--theta2", "-0.25", "--energy", "pi"],
+            ["bound-single", "--theta1", "0.25", "--theta2", "0.3"],
+            ["wire-spectrum", "--theta2-list", "1/4,0.7,1/4", "--n-max", "6", "--fit-min-n", "2"],
+            [
+                "evolve", "--kind", "single", "--theta1", "0.3", "--theta2", "-0.4",
+                "--n-sites", "96", "--init", "bound:pi", "--steps", "20", "--seed", "7",
+            ],
+            [
+                "diagonalize", "--kind", "symmetric", "--theta1", "0.5",
+                "--theta2", "-0.25", "--wire-length", "6", "--n-sites", "24",
+            ],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_subcommands(self, capsys, recorded, argv):
+        assert main(argv) == 0
+        (call,) = recorded
+        assert capsys.readouterr().out == self.reference(*call)
+
+    def test_special_values_and_csv(self, capsys, recorded):
+        columns = ("x", 'k"%s\u00e9', "flag", "name", "x")
+        rows = [
+            (float("nan"), float("inf"), True, "caf\u00e9 \"\\ \u2603", 1),
+            (-float("inf"), -0.0, False, None, 2.5e-300),
+            (np.float64(0.1), 10**20, None, "", -7),
+        ]
+        args = argparse.Namespace(format="json", output=None, seed=3)
+        cli._emit(args, "probe", {"\u00e9": [1, None]}, columns, rows, {"note": "\u2603"})
+        assert capsys.readouterr().out == self.reference(*recorded[0])
+
+        csv_args = argparse.Namespace(format="csv", output=None, seed=3)
+        cli._emit(csv_args, "probe", {"a": 1}, columns, rows[:2], {"e": [None]})
+        assert capsys.readouterr().out == (
+            "# schema_version=1\n# command=probe\n"
+            f"# version={cli.__version__}\n"
+            "# generated_at=2020-01-02T03:04:05+00:00\n# seed=3\n"
+            "# param.a=1\n# extra.e=[null]\n"
+            'x,k"%s\u00e9,flag,name,x\n'
+            'nan,inf,True,caf\u00e9 "\\ \u2603,1\n'
+            "-inf,-0.0,False,,2.5e-300\n"
+        )

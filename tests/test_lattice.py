@@ -149,6 +149,32 @@ class TestStepEvolve:
             evolve(random_state(rng, 8), random_profile(rng, 8), -1)
 
 
+def kernel_profiles():
+    rng = np.random.default_rng(12)
+    for length in (1, 2, 3, 64):
+        yield f"random-{length}", random_profile(rng, length)
+    for kind in ("uniform", "single", "symmetric", "antisymmetric", "wire"):
+        theta1 = np.pi / 2 if kind == "wire" else -0.3 * np.pi
+        yield kind, build_profile(kind, 64, theta1, 0.35 * np.pi, wire_length=9)
+
+
+class TestKernelParity:
+    """``evolve`` against the reference composition ``apply_shift(apply_coin(.))``."""
+
+    @pytest.mark.parametrize("t", [1, 7, 50])
+    @pytest.mark.parametrize("name,prof", list(kernel_profiles()))
+    def test_bitwise_equal_to_coin_then_shift(self, name, prof, t):
+        rng = np.random.default_rng(t)
+        state = random_state(rng, prof.length)
+        before = state.amplitudes.copy()
+        want = state
+        for _ in range(t):
+            want = apply_shift(apply_coin(want, prof))
+        got = evolve(state, prof, t)
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+        assert np.array_equal(state.amplitudes, before)
+
+
 class TestPositionDistribution:
     def test_delta(self):
         p = position_distribution(delta_state(6, 0, "left"))
