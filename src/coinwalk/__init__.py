@@ -15,7 +15,6 @@ from .lattice import (
     apply_coin,
     apply_shift,
     build_profile,
-    coin_matrix,
     delta_state,
     evolve,
     position_distribution,
@@ -23,10 +22,8 @@ from .lattice import (
     step,
 )
 from .bulk import (
-    BlochData,
     GapClosedError,
     WindingResult,
-    bloch_data,
     bloch_unitary,
     bloch_vector,
     chiral_axis,
@@ -37,7 +34,6 @@ from .bulk import (
     eigenspinor_raw,
     frame_rotation,
     offdiagonal_h,
-    orientation_axis,
     particle_hole_check,
     winding_number,
 )
@@ -52,7 +48,6 @@ from .boundstates import (
     single_boundary_existence,
     single_boundary_mode,
     splitting_decay_rate,
-    symmetric_condition_residual,
     wire_condition_residual,
 )
 from .spectral import (
@@ -66,7 +61,6 @@ from .spectral import (
     mode_residual,
     oracle_compare,
     solve_wire_energy,
-    step_matrix_residual,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,9 +13,10 @@ angle theta1 (equal on both sides), the two end modes hybridize and the
 energies move off 0 and pi; the quantization condition is
 
     sinh[k2 (N+1)] (sin^2 E - sin t1 sin t2)
-        = cosh[k2 (N+1)] cos t1 cos t2 sinh k1 sinh k2,
+        = cosh[k2 (N+1)] |cos t1| sinh k1 cos t2 sinh k2,
 
-which after eliminating kappa_1 also covers reflecting ends theta1 = pi/2.
+where |cos t1| sinh k1 = sqrt(cos^2 E - cos^2 t1), so the same condition
+covers both signs of cos(theta1) and reflecting ends theta1 = +/- pi/2.
 With theta_3 = -theta_1 on one exterior instead (one net jump), the
 condition is satisfied identically at sin E = 0 and the E = 0, pi modes
 survive at any block length.
@@ -77,12 +78,6 @@ def _energy_family(energy: float) -> float:
     raise ValueError("closed-form boundary modes exist only at quasi-energy 0 or pi")
 
 
-def _require_open_gap(*thetas: float) -> None:
-    for theta in thetas:
-        if abs(np.sin(theta)) < bulk.GAP_TOL:
-            raise bulk.GapClosedError("gap closes at sin(theta) = 0")
-
-
 def decay_constant(theta: float, energy: float) -> float:
     """Decay constant of a boundary-mode tail at quasi-energy 0 or pi.
 
@@ -132,6 +127,15 @@ def single_boundary_condition_residual(
     return 1j * np.sin(energy) - bracket / (s1 - s2)
 
 
+def _require_boundary_modes(theta1: float, theta2: float) -> None:
+    """Raise unless a boundary between theta1 and theta2 hosts E = 0, pi modes."""
+    verdict = single_boundary_existence(theta1, theta2)
+    if verdict.reason == REASON_GAP_CLOSED:
+        raise bulk.GapClosedError("no bound state: band gap closed")
+    if not verdict.exists:
+        raise ValueError("no bound state: sin(theta1) and sin(theta2) share a sign")
+
+
 def _kappa_from_energy(theta: float, energy: float) -> float:
     """Invert cosh(kappa) = |cos E / cos theta|; requires the ratio >= 1."""
     c = abs(np.cos(theta))
@@ -143,30 +147,14 @@ def _kappa_from_energy(theta: float, energy: float) -> float:
     return float(np.arccosh(ratio))
 
 
-def symmetric_condition_residual(
-    theta1: float, theta2: float, energy: float, block_length: int
-) -> float:
-    """LHS - RHS of the equal-exterior quantization condition; roots are bound-state energies."""
-    _check_angle(theta1)
-    _check_angle(theta2)
-    if abs(np.cos(theta1)) < 1e-12:
-        raise ValueError("use wire_condition_residual for reflecting ends theta1 = +/- pi/2")
-    k1 = _kappa_from_energy(theta1, energy)
-    k2 = _kappa_from_energy(theta2, energy)
-    span = k2 * (int(block_length) + 1)
-    s1, s2 = np.sin(theta1), np.sin(theta2)
-    lhs = np.sinh(span) * (np.sin(energy) ** 2 - s1 * s2)
-    rhs = np.cosh(span) * np.cos(theta1) * np.cos(theta2) * np.sinh(k1) * np.sinh(k2)
-    return float(lhs - rhs)
-
-
 def wire_condition_residual(
     theta1: float, theta2: float, energy: float, block_length: int
 ) -> float:
-    """Equal-exterior condition with kappa_1 eliminated; valid at theta1 = +/- pi/2.
+    """LHS - RHS of the equal-exterior quantization condition; roots are bound-state energies.
 
     cos(theta1) sinh(kappa1) is replaced by sqrt(cos^2 E - cos^2 theta1),
-    so the residual needs cos^2 E >= cos^2 theta1.
+    which holds for either sign of cos(theta1) and stays finite at reflecting
+    ends theta1 = +/- pi/2; the residual needs cos^2 E >= cos^2 theta1.
     """
     _check_angle(theta1)
     _check_angle(theta2)
@@ -205,11 +193,7 @@ def infinite_wire_limit(theta1: float, theta2: float) -> tuple[float, float]:
     sinh(kappa_1) = |tan theta_1| and sinh(kappa_2) = |tan theta_2|; defined
     only for opposite-sign angle pairs.
     """
-    verdict = single_boundary_existence(theta1, theta2)
-    if verdict.reason == REASON_GAP_CLOSED:
-        raise bulk.GapClosedError("gap closes at sin(theta) = 0")
-    if not verdict.exists:
-        raise ValueError("infinite-block limit requires opposite-sign angles")
+    _require_boundary_modes(theta1, theta2)
     return (
         float(np.arcsinh(abs(np.tan(theta1)))),
         float(np.arcsinh(abs(np.tan(theta2)))),
@@ -258,12 +242,13 @@ def _seam_sites(coords: np.ndarray, length: int, offset: int) -> tuple[int, int]
 def _materialize(
     coords: np.ndarray, pieces, length: int, offset: int
 ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Evaluate region amplitude rules over the ring and enforce tiny seam tails."""
+    """Evaluate region amplitude rules over the ring and enforce tiny seam tails.
+
+    Each rule maps an array of layout coordinates to their (count, 2) spinors.
+    """
     amp = np.zeros((length, 2), dtype=complex)
     for mask, rule in pieces:
-        idx = np.nonzero(mask)[0]
-        for m in idx:
-            amp[m] = rule(int(coords[m]))
+        amp[mask] = rule(coords[mask])
     seam = _seam_sites(coords, length, offset)
     peak = np.max(np.abs(amp))
     if peak == 0:
@@ -293,11 +278,7 @@ def single_boundary_mode(
     opposite orientation comes out of the same construction.
     """
     energy = _energy_family(energy)
-    verdict = single_boundary_existence(theta1, theta2)
-    if verdict.reason == REASON_GAP_CLOSED:
-        raise bulk.GapClosedError("no bound state: band gap closed")
-    if not verdict.exists:
-        raise ValueError("no bound state: sin(theta1) and sin(theta2) share a sign")
+    _require_boundary_modes(theta1, theta2)
     length = int(length)
     offset = length // 4 if offset is None else int(offset) % length
 
@@ -311,8 +292,8 @@ def single_boundary_mode(
 
     coords = ring_coordinates(length, offset, centered=True)
     pieces = (
-        (coords <= 0, lambda n: r * z1**n * chi1),
-        (coords >= 1, lambda n: t * z2**n * chi2),
+        (coords <= 0, lambda n: (r * z1**n)[:, None] * chi1),
+        (coords >= 1, lambda n: (t * z2**n)[:, None] * chi2),
     )
     amp, seam = _materialize(coords, pieces, length, offset)
     amp = amp / np.linalg.norm(amp)
@@ -344,11 +325,7 @@ def antisymmetric_mode(
     the momentum-class signs; with B = 0 the mode sits at the n = 0 jump.
     """
     energy = _energy_family(energy)
-    verdict = single_boundary_existence(theta1, theta2)
-    if verdict.reason == REASON_GAP_CLOSED:
-        raise bulk.GapClosedError("no bound state: band gap closed")
-    if not verdict.exists:
-        raise ValueError("no bound state: sin(theta1) and sin(theta2) share a sign")
+    _require_boundary_modes(theta1, theta2)
     length = int(length)
     n_block = int(block_length)
     offset = length // 4 if offset is None else int(offset) % length
@@ -356,17 +333,14 @@ def antisymmetric_mode(
 
     z1g, kappa1 = _evanescent(theta1, energy, decaying=False)
     z2d, kappa2 = _evanescent(theta2, energy, decaying=True)
-    z2g, _ = _evanescent(theta2, energy, decaying=False)
     z3d, _ = _evanescent(theta3, energy, decaying=True)
     chi1 = _spinor_at(theta1, z1g, energy)
     chi2d = _spinor_at(theta2, z2d, energy)
-    chi2g = _spinor_at(theta2, z2g, energy)
     chi3 = _spinor_at(theta3, z3d, energy)
 
     sign1 = _branch_sign(theta1, energy)
     sign2 = _branch_sign(theta2, energy)
     coeff_a = complex(np.sin(theta1))
-    coeff_b = 0j
     coeff_d = complex(np.sin(theta2))
     coeff_c = complex(-np.sin(theta2) * (sign1 * sign2) ** (n_block + 1)
                       * np.exp((kappa1 - kappa2) * (n_block + 1)))
@@ -375,16 +349,13 @@ def antisymmetric_mode(
 
     coords = ring_coordinates(length, offset, centered=True)
     pieces = (
-        (coords < 0, lambda n: coeff_d * z1g**n * chi1),
-        (
-            (coords >= 0) & (coords <= n_block),
-            lambda n: coeff_a * z2d**n * chi2d + coeff_b * z2g**n * chi2g,
-        ),
+        (coords < 0, lambda n: (coeff_d * z1g**n)[:, None] * chi1),
+        ((coords >= 0) & (coords <= n_block), lambda n: (coeff_a * z2d**n)[:, None] * chi2d),
         (
             coords > n_block,
-            lambda n: c_scale
-            * sign1 ** (n_block + 1 + n)
-            * np.exp(-kappa1 * (n - n_block - 1))
+            lambda n: (
+                c_scale * sign1 ** (n_block + 1 + n) * np.exp(-kappa1 * (n - n_block - 1))
+            )[:, None]
             * chi3,
         ),
     )
@@ -397,7 +368,7 @@ def antisymmetric_mode(
         energy=energy,
         kappa1=kappa1,
         kappa2=kappa2,
-        coefficients=(coeff_a, coeff_b, coeff_c, coeff_d),
+        coefficients=(coeff_a, 0j, coeff_c, coeff_d),
         configuration="antisymmetric",
         wavefunction=WalkerState.from_amplitudes(amp.reshape(-1)),
         profile=profile,

@@ -122,12 +122,6 @@ def chiral_axis(theta: float) -> np.ndarray:
     return np.sign(s) * np.array([np.cos(theta), 0.0, -s])
 
 
-def orientation_axis(theta: float) -> np.ndarray:
-    """Continuous winding-orientation axis B(theta) = (cos t, 0, -sin t)."""
-    _check_angle(theta)
-    return np.array([np.cos(theta), 0.0, -np.sin(theta)])
-
-
 def chiral_operator(theta: float) -> np.ndarray:
     """Pi = exp(i pi/2 A.sigma) = i A.sigma; anticommutes with H(k) for every k."""
     return 1j * pauli_vector(chiral_axis(theta))
@@ -194,29 +188,3 @@ def particle_hole_check(theta: float, k: float) -> float:
     h_plus = effective_hamiltonian(theta, k)
     h_minus = effective_hamiltonian(theta, -k)
     return float(np.max(np.abs(np.conj(h_plus) + h_minus)))
-
-
-@dataclass(frozen=True, eq=False)
-class BlochData:
-    """Per-momentum bundle: quasi-energy, band spinors, Bloch vector, H(k)."""
-
-    k: float
-    energy_plus: float
-    spinor_plus: np.ndarray
-    spinor_minus: np.ndarray
-    n_vec: np.ndarray
-    hamiltonian: np.ndarray
-
-
-def bloch_data(theta: float, k: float) -> BlochData:
-    """Assemble the full momentum-resolved bundle at a gapped (theta, k)."""
-    n_vec = bloch_vector(theta, k)
-    energy = dispersion(theta, k)
-    return BlochData(
-        k=float(k),
-        energy_plus=energy,
-        spinor_plus=eigenspinor(theta, k, +1),
-        spinor_minus=eigenspinor(theta, k, -1),
-        n_vec=n_vec,
-        hamiltonian=energy * pauli_vector(n_vec),
-    )

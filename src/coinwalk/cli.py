@@ -33,6 +33,7 @@ from .boundstates import (
     single_boundary_mode,
 )
 from .lattice import (
+    PROFILE_KINDS,
     WalkerState,
     build_profile,
     delta_state,
@@ -48,7 +49,7 @@ from .spectral import (
     solve_wire_energy,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class UsageError(Exception):
@@ -91,6 +92,15 @@ def _json_cell(value) -> str:
     return json.dumps(value)
 
 
+def _csv_field(value) -> str:
+    """One CSV cell or header value: None is empty and every float prints as ``float.__repr__``."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return str(value)
+
+
 def _json_rows(columns, rows) -> str:
     """Data rows as ``json.dumps(rows_as_dicts, indent=2)`` writes them inside the payload.
 
@@ -113,7 +123,6 @@ def _emit(args, command: str, params: dict, columns, rows, extras=None) -> None:
         "command": command,
         "version": __version__,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "seed": args.seed,
         "params": params,
     }
     if args.format == "json":
@@ -135,14 +144,13 @@ def _emit(args, command: str, params: dict, columns, rows, extras=None) -> None:
         buf.write(f"# command={command}\n")
         buf.write(f"# version={__version__}\n")
         buf.write(f"# generated_at={meta['generated_at']}\n")
-        buf.write(f"# seed={args.seed}\n")
         for key, value in params.items():
-            buf.write(f"# param.{key}={value}\n")
+            buf.write(f"# param.{key}={_csv_field(value)}\n")
         for key, value in extras.items():
             buf.write(f"# extra.{key}={json.dumps(value)}\n")
         buf.write(",".join(str(c) for c in columns) + "\n")
         for row in rows:
-            buf.write(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+            buf.write(",".join(map(_csv_field, row)) + "\n")
         text = buf.getvalue()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -271,7 +279,11 @@ def cmd_wire_spectrum(args) -> int:
     if not thetas:
         print("error: --theta2-list is empty", file=sys.stderr)
         return 2
-    values = {token: _angle_in_pi_units(token) for token in thetas}
+    try:
+        values = {token: _angle_in_pi_units(token) for token in thetas}
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: --theta2-list: {exc}", file=sys.stderr)
+        return 2
     block_range = range(args.n_min, args.n_max + 1)
     if args.n_min < 1 or args.n_max < args.n_min:
         print("error: need 1 <= --n-min <= --n-max", file=sys.stderr)
@@ -455,15 +467,10 @@ def cmd_diagonalize(args) -> int:
 def _add_common(parser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
-    parser.add_argument("--seed", type=int, default=0, help="recorded in metadata for reproducibility")
 
 
 def _add_profile_flags(parser) -> None:
-    parser.add_argument(
-        "--kind",
-        choices=("uniform", "single", "symmetric", "antisymmetric", "wire"),
-        required=True,
-    )
+    parser.add_argument("--kind", choices=PROFILE_KINDS, required=True)
     parser.add_argument("--theta1", type=_angle_in_pi_units, required=True, help="angle in units of pi")
     parser.add_argument("--theta2", type=_angle_in_pi_units, default=None, help="angle in units of pi")
     parser.add_argument("--wire-length", type=int, default=None, help="block spans coordinates 0..N")

@@ -39,23 +39,15 @@ def _check_angle(theta: float) -> float:
     return theta
 
 
-def coin_matrix(theta: float) -> np.ndarray:
-    """Return the 2x2 coin rotation [[c, s], [-s, c]] with c=cos(theta), s=sin(theta)."""
-    theta = _check_angle(theta)
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]], dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)
 class CoinProfile:
     """Assignment of one coin angle to every site of the ring.
 
-    ``regions`` is optional metadata: maximal runs of equal angle as
-    half-open ring segments (start, stop, theta) that tile [0, L).
+    ``angles`` is copied into a read-only float array; every entry must be
+    finite and lie in [-pi, pi].
     """
 
     angles: np.ndarray
-    regions: tuple[tuple[int, int, float], ...] | None = None
 
     def __post_init__(self):
         arr = np.array(self.angles, dtype=float, copy=True)
@@ -65,36 +57,10 @@ class CoinProfile:
             raise ValueError("all coin angles must be finite and lie in [-pi, pi]")
         arr.setflags(write=False)
         object.__setattr__(self, "angles", arr)
-        if self.regions is not None:
-            regs = tuple((int(a), int(b), float(t)) for a, b, t in self.regions)
-            self._check_regions(regs)
-            object.__setattr__(self, "regions", regs)
-
-    def _check_regions(self, regs) -> None:
-        length = self.angles.size
-        cursor = 0
-        for start, stop, theta in sorted(regs):
-            if start != cursor or stop <= start:
-                raise ValueError("region descriptors must tile [0, L) without overlap")
-            if not np.allclose(self.angles[start:stop], theta, atol=1e-15):
-                raise ValueError("region descriptor disagrees with the angle array")
-            cursor = stop
-        if cursor != length:
-            raise ValueError("region descriptors must cover the whole ring")
 
     @property
     def length(self) -> int:
         return int(self.angles.size)
-
-
-def _runs(angles: np.ndarray) -> tuple[tuple[int, int, float], ...]:
-    """Maximal runs of equal angle, as half-open segments tiling [0, L)."""
-    breaks = [0] + [i for i in range(1, angles.size) if angles[i] != angles[i - 1]]
-    breaks.append(angles.size)
-    return tuple(
-        (breaks[j], breaks[j + 1], float(angles[breaks[j]]))
-        for j in range(len(breaks) - 1)
-    )
 
 
 def ring_coordinates(length: int, offset: int, centered: bool) -> np.ndarray:
@@ -142,8 +108,7 @@ def build_profile(
     theta1 = _check_angle(theta1)
 
     if kind == "uniform":
-        angles = np.full(length, theta1)
-        return CoinProfile(angles, regions=_runs(angles))
+        return CoinProfile(np.full(length, theta1))
 
     if theta2 is None:
         raise ValueError(f"profile kind {kind!r} needs theta2")
@@ -151,8 +116,7 @@ def build_profile(
 
     if kind == "single":
         n = ring_coordinates(length, offset, centered=True)
-        angles = np.where(n <= 0, theta1, theta2)
-        return CoinProfile(angles, regions=_runs(angles))
+        return CoinProfile(np.where(n <= 0, theta1, theta2))
 
     if wire_length is None:
         raise ValueError(f"profile kind {kind!r} needs wire_length")
@@ -167,8 +131,7 @@ def build_profile(
 
     if kind in ("symmetric", "wire"):
         n = ring_coordinates(length, offset, centered=False)
-        angles = np.where(n <= n_block, theta2, theta1)
-        return CoinProfile(angles, regions=_runs(angles))
+        return CoinProfile(np.where(n <= n_block, theta2, theta1))
 
     # antisymmetric: exterior split between theta1 (n < 0) and -theta1
     # (n > N); the split point must stay clear of the block.
@@ -178,7 +141,7 @@ def build_profile(
     angles = np.where(
         n < 0, theta1, np.where(n <= n_block, theta2, _check_angle(-theta1))
     )
-    return CoinProfile(angles, regions=_runs(angles))
+    return CoinProfile(angles)
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from . import boundstates
-from .lattice import CoinProfile, WalkerState, step
+from .lattice import CoinProfile, step
 from .boundstates import BoundStateSolution
 
 SIZE_CAP = 512
@@ -87,9 +87,6 @@ class SpectralResult:
     ipr: np.ndarray
     length: int
     indices: np.ndarray
-
-    def state(self, i: int) -> WalkerState:
-        return WalkerState.from_amplitudes(self.vectors[:, i], normalize=True)
 
     @property
     def count(self) -> int:
@@ -236,14 +233,15 @@ def _eig_orthogonal(unitary: csr_array) -> tuple[np.ndarray, np.ndarray, float]:
     return energies, rows.T, residual
 
 
-def diagonalize(profile: CoinProfile, size_cap: int = SIZE_CAP) -> SpectralResult:
+def diagonalize(profile: CoinProfile) -> SpectralResult:
     """Full eigen-decomposition of the one-step unitary for ``profile``.
 
     Solved in real arithmetic (see the module docstring); E = -arg(lambda)
-    lies in (-pi, pi].  An eigen-residual above 1e-10 raises ``RuntimeError``.
+    lies in (-pi, pi].  Rings above ``SIZE_CAP`` sites raise ``ValueError``;
+    an eigen-residual above 1e-10 raises ``RuntimeError``.
     """
-    if profile.length > size_cap:
-        raise ValueError(f"ring size {profile.length} exceeds the dense-solver cap {size_cap}")
+    if profile.length > SIZE_CAP:
+        raise ValueError(f"ring size {profile.length} exceeds the dense-solver cap {SIZE_CAP}")
     energies, vectors, _ = _eig_orthogonal(_coin_shift(profile))
     prob = np.square(vectors.real)
     prob += np.square(vectors.imag)
@@ -366,20 +364,19 @@ def fit_splitting_decay(theta2: float, block_lengths) -> SplittingFit:
 def oracle_compare(
     analytic: BoundStateSolution,
     profile: CoinProfile,
-    energy_window: float = 1e-6,
     result: SpectralResult | None = None,
 ) -> float:
     """Fidelity of a closed-form mode against the exact-diagonalization oracle.
 
     Projects the analytic wavefunction onto the (possibly degenerate)
-    eigenspace within ``energy_window`` of its quasi-energy and returns the
-    squared projection norm.  Raises when no eigenvector lies in the window.
+    eigenspace within 1e-6 of its quasi-energy and returns the squared
+    projection norm.  Raises when no eigenvector lies in that window.
     """
     if analytic.wavefunction.length != profile.length:
         raise ValueError("analytic solution and profile live on different rings")
     if result is None:
         result = diagonalize(profile)
-    sel = np.nonzero(circle_distance(result.quasi_energies, analytic.energy) < energy_window)[0]
+    sel = np.nonzero(circle_distance(result.quasi_energies, analytic.energy) < 1e-6)[0]
     if sel.size == 0:
         raise RuntimeError("no eigenvector matches the analytic quasi-energy")
     basis, _ = np.linalg.qr(result.vectors[:, sel])
@@ -396,10 +393,3 @@ def mode_residual(solution: BoundStateSolution) -> float:
     for site in solution.seam:
         mask[[(site - 1) % length, site % length, (site + 1) % length]] = False
     return float(np.max(np.abs(residual.reshape(length, 2)[mask])))
-
-
-def step_matrix_residual(profile: CoinProfile, state: WalkerState) -> float:
-    """Elementwise gap between ``lattice.step`` and the assembled matrix action."""
-    via_matrix = build_unitary(profile) @ state.amplitudes
-    via_step = step(state, profile).amplitudes
-    return float(np.max(np.abs(via_matrix - via_step)))

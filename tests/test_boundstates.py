@@ -14,7 +14,6 @@ from coinwalk import (
     single_boundary_existence,
     single_boundary_mode,
     splitting_decay_rate,
-    symmetric_condition_residual,
     wire_condition_residual,
 )
 
@@ -86,25 +85,14 @@ class TestSingleBoundaryCondition:
 
 class TestBlockConditions:
     def test_symmetric_has_no_zero_energy_root(self):
-        res = symmetric_condition_residual(2 * np.pi / 5, -2 * np.pi / 5, 0.0, 5)
+        res = wire_condition_residual(2 * np.pi / 5, -2 * np.pi / 5, 0.0, 5)
         assert abs(res) > 1e-6
 
     def test_symmetric_sign_definite_for_same_sign_angles(self):
         signs = set()
         for energy in np.linspace(0.01, 0.19, 25) * np.pi:
-            signs.add(np.sign(symmetric_condition_residual(0.3 * np.pi, 0.2 * np.pi, energy, 4)))
+            signs.add(np.sign(wire_condition_residual(0.3 * np.pi, 0.2 * np.pi, energy, 4)))
         assert signs == {-1.0}
-
-    def test_symmetric_reflecting_end_rejected(self):
-        with pytest.raises(ValueError):
-            symmetric_condition_residual(-np.pi / 2, np.pi / 4, 0.1, 3)
-
-    def test_symmetric_matches_wire_form_near_reflecting_limit(self):
-        theta1 = -(np.pi / 2 - 1e-7)
-        for energy in (0.05, 0.1, 0.2):
-            sym = symmetric_condition_residual(theta1, np.pi / 4, energy, 3)
-            wire = wire_condition_residual(theta1, np.pi / 4, energy, 3)
-            assert abs(sym - wire) < 1e-5 * max(1.0, abs(wire))
 
     def test_wire_root_brackets_reference_energy(self):
         # reference bound-state energy E/pi = 4.68e-2 for N=1, theta2=pi/4

@@ -3,7 +3,6 @@ import pytest
 
 from coinwalk import (
     GapClosedError,
-    bloch_data,
     bloch_unitary,
     bloch_vector,
     chiral_axis,
@@ -14,7 +13,6 @@ from coinwalk import (
     eigenspinor_raw,
     frame_rotation,
     offdiagonal_h,
-    orientation_axis,
     particle_hole_check,
     winding_number,
 )
@@ -184,7 +182,8 @@ class TestChiralSymmetry:
 
     def test_orientation_product_gives_invariant(self):
         for theta in (0.4, -0.4, 2.0, -2.8):
-            m = chiral_axis(theta) @ orientation_axis(theta)
+            orientation = np.array([np.cos(theta), 0.0, -np.sin(theta)])
+            m = chiral_axis(theta) @ orientation
             assert abs(m - np.sign(np.sin(theta))) < 1e-12
 
     def test_gap_closing_rejected(self):
@@ -251,14 +250,3 @@ class TestParticleHole:
         rng = np.random.default_rng(33)
         worst = max(particle_hole_check(theta, k) for theta, k in gapped_grid(rng, 1000))
         assert worst < 1e-11
-
-
-class TestBlochData:
-    def test_bundle_invariants(self):
-        data = bloch_data(0.9, -0.4)
-        assert abs(np.linalg.norm(data.n_vec) - 1.0) < 1e-12
-        assert np.allclose(
-            data.hamiltonian, data.energy_plus * pauli_vector(data.n_vec), atol=1e-12
-        )
-        assert abs(np.vdot(data.spinor_plus, data.spinor_minus)) < 1e-12
-        assert np.allclose(data.hamiltonian, data.hamiltonian.conj().T, atol=1e-14)

@@ -42,7 +42,7 @@ class TestDispersionCommand:
     def test_row_count_and_zero_momentum(self, capsys):
         code, payload = run_json(capsys, ["dispersion", "--theta", "0.25", "--k-points", "5"])
         assert code == 0
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert len(payload["data"]) == 5
         middle = payload["data"][2]
         assert abs(middle["k"]) < 1e-14
@@ -134,6 +134,14 @@ class TestWireSpectrumCommand:
         assert len(fits) == 1
         fit = fits[0]
         assert abs(fit["slope"] + fit["kappa2_predicted"]) / fit["kappa2_predicted"] < 0.02
+
+    @pytest.mark.parametrize("theta2_list", ["foo", "1/4,3"])
+    def test_bad_theta2_token_is_usage_error(self, capsys, theta2_list):
+        code = main(["wire-spectrum", "--theta2-list", theta2_list])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_six_significant_digits(self, capsys):
         _, payload = run_json(
@@ -326,7 +334,6 @@ class TestEmitterParity:
                 "command": command,
                 "version": cli.__version__,
                 "generated_at": "2020-01-02T03:04:05+00:00",
-                "seed": args.seed,
                 "params": params,
             },
             "data": [dict(zip(columns, row)) for row in rows],
@@ -344,7 +351,7 @@ class TestEmitterParity:
             ["wire-spectrum", "--theta2-list", "1/4,0.7,1/4", "--n-max", "6", "--fit-min-n", "2"],
             [
                 "evolve", "--kind", "single", "--theta1", "0.3", "--theta2", "-0.4",
-                "--n-sites", "96", "--init", "bound:pi", "--steps", "20", "--seed", "7",
+                "--n-sites", "96", "--init", "bound:pi", "--steps", "20",
             ],
             [
                 "diagonalize", "--kind", "symmetric", "--theta1", "0.5",
@@ -365,18 +372,20 @@ class TestEmitterParity:
             (-float("inf"), -0.0, False, None, 2.5e-300),
             (np.float64(0.1), 10**20, None, "", -7),
         ]
-        args = argparse.Namespace(format="json", output=None, seed=3)
+        args = argparse.Namespace(format="json", output=None)
         cli._emit(args, "probe", {"\u00e9": [1, None]}, columns, rows, {"note": "\u2603"})
         assert capsys.readouterr().out == self.reference(*recorded[0])
 
-        csv_args = argparse.Namespace(format="csv", output=None, seed=3)
-        cli._emit(csv_args, "probe", {"a": 1}, columns, rows[:2], {"e": [None]})
+        csv_args = argparse.Namespace(format="csv", output=None)
+        params = {"a": 1, "b": None, "c": np.float64(0.25)}
+        cli._emit(csv_args, "probe", params, columns, rows, {"e": [None]})
         assert capsys.readouterr().out == (
-            "# schema_version=1\n# command=probe\n"
+            "# schema_version=2\n# command=probe\n"
             f"# version={cli.__version__}\n"
-            "# generated_at=2020-01-02T03:04:05+00:00\n# seed=3\n"
-            "# param.a=1\n# extra.e=[null]\n"
+            "# generated_at=2020-01-02T03:04:05+00:00\n"
+            "# param.a=1\n# param.b=\n# param.c=0.25\n# extra.e=[null]\n"
             'x,k"%s\u00e9,flag,name,x\n'
             'nan,inf,True,caf\u00e9 "\\ \u2603,1\n'
             "-inf,-0.0,False,,2.5e-300\n"
+            "0.1,100000000000000000000,,,-7\n"
         )

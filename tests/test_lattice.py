@@ -7,7 +7,6 @@ from coinwalk import (
     apply_coin,
     apply_shift,
     build_profile,
-    coin_matrix,
     delta_state,
     evolve,
     position_distribution,
@@ -25,28 +24,6 @@ def random_state(rng, length):
 
 def random_profile(rng, length):
     return CoinProfile(rng.uniform(-np.pi, np.pi, length))
-
-
-class TestCoinMatrix:
-    def test_zero_is_identity(self):
-        assert np.allclose(coin_matrix(0.0), np.eye(2))
-
-    def test_half_pi_interchanges_components(self):
-        assert np.allclose(coin_matrix(np.pi / 2), [[0, 1], [-1, 0]], atol=1e-15)
-
-    def test_quarter_pi(self):
-        assert np.allclose(coin_matrix(np.pi / 4), [[SQ2, SQ2], [-SQ2, SQ2]])
-
-    def test_orthogonal_unit_determinant(self):
-        rng = np.random.default_rng(7)
-        for theta in rng.uniform(-np.pi, np.pi, 25):
-            mat = coin_matrix(theta)
-            assert np.allclose(mat @ mat.conj().T, np.eye(2), atol=1e-15)
-            assert abs(np.linalg.det(mat) - 1.0) < 1e-14
-
-    def test_rejects_out_of_range_angle(self):
-        with pytest.raises(ValueError):
-            coin_matrix(3.5)
 
 
 class TestApplyCoin:
@@ -224,19 +201,11 @@ class TestBuildProfile:
         with pytest.raises(ValueError):
             build_profile("moebius", 12, 1.0)
 
-    def test_regions_tile_ring(self):
-        prof = build_profile("antisymmetric", 40, -0.6, 0.8, wire_length=9)
-        assert prof.regions is not None
-        covered = np.zeros(40, dtype=bool)
-        for start, stop, theta in prof.regions:
-            assert not covered[start:stop].any()
-            covered[start:stop] = True
-            assert np.allclose(prof.angles[start:stop], theta)
-        assert covered.all()
-
-    def test_region_metadata_validated(self):
+    def test_rejects_out_of_range_angle(self):
         with pytest.raises(ValueError):
-            CoinProfile(np.array([0.1, 0.2]), regions=((0, 2, 0.1),))
+            build_profile("uniform", 8, 3.5)
+        with pytest.raises(ValueError):
+            CoinProfile(np.array([0.1, -3.5]))
 
 
 class TestReflectingBlocks:

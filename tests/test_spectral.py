@@ -20,7 +20,6 @@ from coinwalk import (
     solve_wire_energy,
     splitting_decay_rate,
     step,
-    step_matrix_residual,
 )
 from coinwalk import spectral
 
@@ -54,9 +53,11 @@ class TestBuildUnitary:
     def test_matches_step(self):
         rng = np.random.default_rng(51)
         prof = CoinProfile(rng.uniform(-np.pi, np.pi, 24))
+        mat = build_unitary(prof)
         for _ in range(5):
             state = random_state(rng, 24)
-            assert step_matrix_residual(prof, state) < 1e-13
+            gap = mat @ state.amplitudes - step(state, prof).amplitudes
+            assert np.max(np.abs(gap)) < 1e-13
 
     def test_real_with_exact_zeros_for_reflecting_coins(self):
         mat = build_unitary(build_profile("uniform", 8, np.pi / 2))
@@ -316,11 +317,13 @@ class TestSolveWireEnergy:
             solve_wire_energy(-np.pi / 2, np.pi / 4, 3, family="nearish")
 
     def test_general_exterior_angle(self):
-        # splitting of a soft-walled block agrees with diagonalization
-        t1, t2, n_block = -0.3 * np.pi, 0.25 * np.pi, 6
-        root = solve_wire_energy(t1, t2, n_block)
-        result = diagonalize(build_profile("symmetric", 128, t1, t2, wire_length=n_block))
-        assert abs(np.min(np.abs(result.quasi_energies)) - root) < 1e-10
+        # splitting of a soft-walled block agrees with diagonalization, for
+        # an acute exterior and for obtuse ones (cos theta1 < 0)
+        for t1, t2, n_block in [(-0.3, 0.25, 6), (-0.7, 0.3, 4), (0.65, -0.3, 5)]:
+            t1, t2 = t1 * np.pi, t2 * np.pi
+            root = solve_wire_energy(t1, t2, n_block)
+            result = diagonalize(build_profile("symmetric", 128, t1, t2, wire_length=n_block))
+            assert abs(np.min(np.abs(result.quasi_energies)) - root) < 1e-10
 
     def test_splitting_ratio_approaches_decay_rate(self):
         # energies shrink by e^{-kappa2} per added block site
