@@ -42,14 +42,15 @@ from .lattice import (
 )
 from .spectral import (
     SIZE_CAP,
+    _splitting_fit,
     diagonalize,
     find_bound_states,
-    fit_splitting_decay,
     mode_residual,
     solve_wire_energy,
 )
 
 SCHEMA_VERSION = 2
+_NOT_PARAMS = ("command", "func", "format", "output")
 
 
 class UsageError(Exception):
@@ -159,89 +160,67 @@ def _emit(args, command: str, params: dict, columns, rows, extras=None) -> None:
         sys.stdout.write(text)
 
 
+def _params(args) -> dict:
+    """The subcommand's own flags, in declaration order, as recorded in ``meta.params``."""
+    return {key: value for key, value in vars(args).items() if key not in _NOT_PARAMS}
+
+
 def _profile_from_args(args):
-    return build_profile(
-        args.kind,
-        args.n_sites,
-        args.theta1,
-        theta2=args.theta2,
-        wire_length=args.wire_length,
-        offset=args.offset,
-    )
+    try:
+        return build_profile(
+            args.kind,
+            args.n_sites,
+            args.theta1,
+            theta2=args.theta2,
+            wire_length=args.wire_length,
+            offset=args.offset,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
-def cmd_dispersion(args) -> int:
+def cmd_dispersion(args) -> None:
     if args.k_points < 2:
-        print("error: --k-points must be at least 2", file=sys.stderr)
-        return 2
+        raise UsageError("--k-points must be at least 2")
     ks = -np.pi + 2 * np.pi * (np.arange(args.k_points) + 0.5) / args.k_points
     rows = []
     for k in ks:
         e_plus = dispersion(args.theta, k)
         try:
-            n_vec = bloch_vector(args.theta, k)
-            nx, ny, nz = (float(v) for v in n_vec)
+            nx, ny, nz = bloch_vector(args.theta, k).tolist()
         except GapClosedError:
             nx = ny = nz = None
         rows.append((float(k), float(e_plus), float(-e_plus), nx, ny, nz))
-    _emit(
-        args,
-        "dispersion",
-        {"theta": args.theta, "k_points": args.k_points},
-        ("k", "E_plus", "E_minus", "n_x", "n_y", "n_z"),
-        rows,
-    )
-    return 0
+    columns = ("k", "E_plus", "E_minus", "n_x", "n_y", "n_z")
+    _emit(args, args.command, _params(args), columns, rows)
 
 
-def cmd_winding(args) -> int:
+def cmd_winding(args) -> None:
     if args.grid_points < 64:
-        print("error: --grid-points must be at least 64", file=sys.stderr)
-        return 2
+        raise UsageError("--grid-points must be at least 64")
     if args.steps > 1 and args.theta_max is None:
-        print("error: sweeps with --steps > 1 need --theta-max", file=sys.stderr)
-        return 2
+        raise UsageError("sweeps with --steps > 1 need --theta-max")
     thetas = (
         np.array([args.theta_min])
         if args.steps == 1
         else np.linspace(args.theta_min, args.theta_max, args.steps)
     )
     rows = []
-    for theta in thetas:
+    for theta in thetas.tolist():
         try:
             result = winding_number(theta, grid_points=args.grid_points)
-            rows.append((float(theta), result.m, result.integral_value, None))
+            rows.append((theta, result.m, result.integral_value, None))
         except GapClosedError:
-            rows.append((float(theta), None, None, "gap-closed"))
-    _emit(
-        args,
-        "winding",
-        {
-            "theta_min": args.theta_min,
-            "theta_max": args.theta_max,
-            "steps": args.steps,
-            "grid_points": args.grid_points,
-        },
-        ("theta", "m", "integral_value", "reason"),
-        rows,
-    )
-    return 0
+            rows.append((theta, None, None, "gap-closed"))
+    _emit(args, args.command, _params(args), ("theta", "m", "integral_value", "reason"), rows)
 
 
-def cmd_bound_single(args) -> int:
-    energy = 0.0 if args.energy == "0" else float(np.pi)
+def cmd_bound_single(args) -> None:
     verdict = single_boundary_existence(args.theta1, args.theta2)
-    params = {
-        "theta1": args.theta1,
-        "theta2": args.theta2,
-        "energy": args.energy,
-        "n_sites": args.n_sites,
-        "offset": args.offset,
-    }
     extras = {"exists": verdict.exists, "reason": verdict.reason}
     rows = []
-    columns = ("n", "site", "prob", "a_re", "a_im", "b_re", "b_im")
     if verdict.exists:
+        energy = 0.0 if args.energy == "0" else float(np.pi)
         solution = single_boundary_mode(
             args.theta1, args.theta2, energy, args.n_sites, offset=args.offset
         )
@@ -252,100 +231,66 @@ def cmd_bound_single(args) -> int:
                 "eigenvector_residual": mode_residual(solution),
             }
         )
+        # one row per layout coordinate n, centred on the boundary
         offset = args.n_sites // 4 if args.offset is None else args.offset
-        spin = solution.wavefunction.spinors()
-        prob = position_distribution(solution.wavefunction)
-        half = args.n_sites // 2
-        for n in range(-half, args.n_sites - half):
-            site = (offset + n) % args.n_sites
-            a, b = spin[site]
-            rows.append(
-                (
-                    n,
-                    site,
-                    float(prob[site]),
-                    float(a.real),
-                    float(a.imag),
-                    float(b.real),
-                    float(b.imag),
-                )
-            )
-    _emit(args, "bound-single", params, columns, rows, extras)
-    return 0
+        coords = np.arange(args.n_sites) - args.n_sites // 2
+        sites = (offset % args.n_sites + coords) % args.n_sites
+        prob = position_distribution(solution.wavefunction)[sites]
+        spin = solution.wavefunction.spinors()[sites].view(float)  # a_re, a_im, b_re, b_im
+        rows = list(zip(coords.tolist(), sites.tolist(), prob.tolist(), *spin.T.tolist()))
+    columns = ("n", "site", "prob", "a_re", "a_im", "b_re", "b_im")
+    _emit(args, args.command, _params(args), columns, rows, extras)
 
 
-def cmd_wire_spectrum(args) -> int:
-    thetas = [token.strip() for token in args.theta2_list.split(",") if token.strip()]
-    if not thetas:
-        print("error: --theta2-list is empty", file=sys.stderr)
-        return 2
+def cmd_wire_spectrum(args) -> None:
+    tokens = [token.strip() for token in args.theta2_list.split(",") if token.strip()]
+    if not tokens:
+        raise UsageError("--theta2-list is empty")
     try:
-        values = {token: _angle_in_pi_units(token) for token in thetas}
+        values = {token: _angle_in_pi_units(token) for token in tokens}
     except argparse.ArgumentTypeError as exc:
-        print(f"error: --theta2-list: {exc}", file=sys.stderr)
-        return 2
-    block_range = range(args.n_min, args.n_max + 1)
+        raise UsageError(f"--theta2-list: {exc}") from exc
     if args.n_min < 1 or args.n_max < args.n_min:
-        print("error: need 1 <= --n-min <= --n-max", file=sys.stderr)
-        return 2
+        raise UsageError("need 1 <= --n-min <= --n-max")
 
-    def solve_cell(token, n):
-        try:
-            return float(solve_wire_energy(-np.pi / 2, values[token], n) / np.pi)
-        except (ValueError, RuntimeError) as exc:
-            return str(exc)
-
-    results = {(token, n): solve_cell(token, n) for token in thetas for n in block_range}
-
-    columns = ["N"] + [f"E_over_pi[{token}]" for token in thetas]
-    rows = []
-    errors = []
-    for n in block_range:
+    energies = {token: {} for token in tokens}  # solved roots by token, then N
+    rows, errors = [], []
+    for n in range(args.n_min, args.n_max + 1):
         row = [n]
-        for token in thetas:
-            value = results[(token, n)]
-            if isinstance(value, str):
-                errors.append({"theta2": token, "N": n, "error": value})
+        for token in tokens:
+            try:
+                energy = solve_wire_energy(-np.pi / 2, values[token], n)
+            except (ValueError, RuntimeError) as exc:
+                errors.append({"theta2": token, "N": n, "error": str(exc)})
                 row.append(None)
-            else:
-                row.append(float(f"{value:.6g}"))
+                continue
+            energies[token][n] = energy
+            row.append(float(f"{energy / np.pi:.6g}"))
         rows.append(tuple(row))
 
     fits = []
-    fit_lengths = [n for n in block_range if n >= args.fit_min_n]
-    if len(fit_lengths) >= 4:
-        for token in thetas:
-            if any(isinstance(results[(token, n)], str) for n in fit_lengths):
-                continue
-            fit = fit_splitting_decay(values[token], fit_lengths)
-            fits.append(
-                {
-                    "theta2": token,
-                    "slope": fit.slope,
-                    "intercept": fit.intercept,
-                    "r_squared": fit.r_squared,
-                    "kappa2_predicted": fit.kappa2_predicted,
-                    "fit_n_min": fit_lengths[0],
-                    "fit_n_max": fit_lengths[-1],
-                }
-            )
+    fit_lengths = [n for n in range(args.n_min, args.n_max + 1) if n >= args.fit_min_n]
+    for token in tokens:
+        roots = [energies[token].get(n) for n in fit_lengths]
+        if len(fit_lengths) < 4 or None in roots:
+            continue
+        fit = _splitting_fit(values[token], fit_lengths, roots)
+        fits.append(
+            {
+                "theta2": token,
+                "slope": fit.slope,
+                "intercept": fit.intercept,
+                "r_squared": fit.r_squared,
+                "kappa2_predicted": fit.kappa2_predicted,
+                "fit_n_min": fit_lengths[0],
+                "fit_n_max": fit_lengths[-1],
+            }
+        )
     extras = {"theta1": "-1/2", "fits": fits}
     if errors:
         extras["errors"] = errors
-    _emit(
-        args,
-        "wire-spectrum",
-        {
-            "theta2_list": args.theta2_list,
-            "n_min": args.n_min,
-            "n_max": args.n_max,
-            "fit_min_n": args.fit_min_n,
-        },
-        columns,
-        rows,
-        extras,
-    )
-    return 0
+    columns = ["N"] + [f"E_over_pi[{token}]" for token in tokens]
+    _emit(args, args.command, _params(args), columns, rows, extras)
 
 
 def _initial_state(args, profile) -> WalkerState:
@@ -384,84 +329,45 @@ def _initial_state(args, profile) -> WalkerState:
     raise UsageError(f"malformed --init {text!r}; use delta:SITE[:left|right] or bound:0|pi")
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> None:
     if args.steps < 0:
-        print("error: --steps must be non-negative", file=sys.stderr)
-        return 2
+        raise UsageError("--steps must be non-negative")
     if args.snapshot_every < 0:
-        print("error: --snapshot-every must be non-negative", file=sys.stderr)
-        return 2
+        raise UsageError("--snapshot-every must be non-negative")
     profile = _profile_from_args(args)
-    try:
-        state = _initial_state(args, profile)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    every = args.snapshot_every or max(1, args.steps // 10 or 1)
+    state = _initial_state(args, profile)
+    every = args.snapshot_every or max(1, args.steps // 10)
     snapshots = sorted(set([0] + list(range(every, args.steps, every)) + [args.steps]))
     rows = []
-    current = state
     previous_t = 0
     for t in snapshots:
-        current = evolve(current, profile, t - previous_t)
+        state = evolve(state, profile, t - previous_t)
         previous_t = t
-        prob = position_distribution(current).tolist()
+        prob = position_distribution(state).tolist()
         rows.extend((t, site, p) for site, p in enumerate(prob))
-    extras = {"final_norm": float(np.linalg.norm(current.amplitudes) ** 2)}
-    _emit(
-        args,
-        "evolve",
-        {
-            "kind": args.kind,
-            "theta1": args.theta1,
-            "theta2": args.theta2,
-            "wire_length": args.wire_length,
-            "n_sites": args.n_sites,
-            "offset": args.offset,
-            "init": args.init,
-            "steps": args.steps,
-            "snapshot_every": every,
-        },
-        ("t", "site", "prob"),
-        rows,
-        extras,
-    )
-    return 0
+    extras = {"final_norm": float(np.linalg.norm(state.amplitudes) ** 2)}
+    params = {**_params(args), "snapshot_every": every}
+    _emit(args, args.command, params, ("t", "site", "prob"), rows, extras)
 
 
-def cmd_diagonalize(args) -> int:
+def cmd_diagonalize(args) -> None:
     if args.n_sites > SIZE_CAP:
-        print(f"error: --n-sites exceeds the dense-solver cap {SIZE_CAP}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--n-sites exceeds the dense-solver cap {SIZE_CAP}")
     profile = _profile_from_args(args)
     result = diagonalize(profile)
-    near_zero = set(find_bound_states(result, 0.0, args.ipr_threshold).indices.tolist())
-    near_pi = set(find_bound_states(result, np.pi, args.ipr_threshold).indices.tolist())
-    rows = []
-    for i in range(result.count):
-        flag = "0" if i in near_zero else ("pi" if i in near_pi else None)
-        rows.append((i, float(result.quasi_energies[i]), float(result.ipr[i]), flag))
+    near_zero = find_bound_states(result, 0.0, args.ipr_threshold).indices
+    near_pi = find_bound_states(result, np.pi, args.ipr_threshold).indices
+    flags = np.full(result.count, None)
+    flags[near_pi] = "pi"
+    flags[near_zero] = "0"
+    columns = ("index", "quasi_energy", "ipr", "localized_near")
+    rows = list(zip(range(result.count), result.quasi_energies.tolist(), result.ipr.tolist(), flags))
     extras = {
         "localized_near_zero": len(near_zero),
         "localized_near_pi": len(near_pi),
         "ipr_threshold": args.ipr_threshold if args.ipr_threshold is not None else 4.0 / profile.length,
     }
-    _emit(
-        args,
-        "diagonalize",
-        {
-            "kind": args.kind,
-            "theta1": args.theta1,
-            "theta2": args.theta2,
-            "wire_length": args.wire_length,
-            "n_sites": args.n_sites,
-            "offset": args.offset,
-        },
-        ("index", "quasi_energy", "ipr", "localized_near"),
-        rows,
-        extras,
-    )
-    return 0
+    _emit(args, args.command, _params(args), columns, rows, extras)
 
 
 def _add_common(parser) -> None:
@@ -541,10 +447,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        return args.func(args)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        args.func(args)
+    except (UsageError, ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, UsageError) else 3
+    return 0
 
 
 if __name__ == "__main__":

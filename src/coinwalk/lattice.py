@@ -12,7 +12,8 @@ periodic wrap.  Composite step: U = S C (coin first, shift second).
 
 Amplitudes are stored as one flat interleaved complex vector
 (a0, b0, a1, b1, ...) so that the step is exactly the 2L x 2L matrix
-assembled by ``spectral.build_unitary``.
+assembled by ``spectral.build_unitary``: both take their coin entries from
+``_coin_entries``, so a reflecting coin cuts the same bonds in each.
 
 Named coin layouts are mapped onto the ring through an integer ``offset``:
 the site carrying layout coordinate n sits at ring index (offset + n) % L.
@@ -209,10 +210,22 @@ def _check_same_length(state: WalkerState, profile: CoinProfile) -> None:
         )
 
 
+def _coin_entries(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of every coin angle; sub-epsilon residue is stored as exact zero.
+
+    Without the zeros a reflecting coin (cos theta ~ 6e-17 at theta = pi/2)
+    would leak amplitude through the wall it stands for.
+    """
+    c, s = np.cos(profile.angles), np.sin(profile.angles)
+    c[np.abs(c) < np.finfo(float).eps] = 0.0
+    s[np.abs(s) < np.finfo(float).eps] = 0.0
+    return c, s
+
+
 def apply_coin(state: WalkerState, profile: CoinProfile) -> WalkerState:
     """Rotate every internal doublet by the local coin angle."""
     _check_same_length(state, profile)
-    c, s = np.cos(profile.angles), np.sin(profile.angles)
+    c, s = _coin_entries(profile)
     a, b = _split(state)
     return _join(c * a + s * b, -s * a + c * b)
 
@@ -241,8 +254,7 @@ def evolve(state: WalkerState, profile: CoinProfile, t: int) -> WalkerState:
     if t == 0:
         return state
     _check_same_length(state, profile)
-    c = np.cos(profile.angles).astype(complex)
-    s = np.sin(profile.angles).astype(complex)
+    c, s = (part.astype(complex) for part in _coin_entries(profile))
     psi = state.spinors().T.copy()  # rows a and b
     cos_part = np.empty_like(psi)  # (c a, c b)
     sin_part = np.empty_like(psi)  # (s b, s a)

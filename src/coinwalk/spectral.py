@@ -40,7 +40,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from . import boundstates
-from .lattice import CoinProfile, step
+from .lattice import CoinProfile, _coin_entries, step
 from .boundstates import BoundStateSolution
 
 SIZE_CAP = 512
@@ -54,9 +54,7 @@ _RESIDUAL_GUARD = 1e-10
 def _coin_shift(profile: CoinProfile) -> csr_array:
     """Sparse one-step matrix; sub-epsilon cos/sin residue is stored as exact zero."""
     length = profile.length
-    c, s = np.cos(profile.angles), np.sin(profile.angles)
-    c[np.abs(c) < np.finfo(float).eps] = 0.0
-    s[np.abs(s) < np.finfo(float).eps] = 0.0
+    c, s = _coin_entries(profile)
     sites = np.arange(length)
     src_a = (sites + 1) % length  # left component arrives from the right neighbor
     src_b = (sites - 1) % length
@@ -295,9 +293,7 @@ def _energy_window(theta1: float, theta2: float) -> float:
     )
 
 
-def solve_wire_energy(
-    theta1: float, theta2: float, block_length: int, family: str = "near-0"
-) -> float:
+def solve_wire_energy(theta1: float, theta2: float, block_length: int) -> float:
     """Bound-state energy of a finite block from the quantization condition.
 
     Brackets the root of ``wire_condition_residual`` inside the window
@@ -305,8 +301,6 @@ def solve_wire_energy(
     pi - E by the spectral mirror symmetry.  ``theta1`` may be +/- pi/2
     (reflecting ends) or any gapped angle of opposite sign to ``theta2``.
     """
-    if family not in ("near-0", "near-pi"):
-        raise ValueError("family must be 'near-0' or 'near-pi'")
     verdict = boundstates.single_boundary_existence(theta1, theta2)
     if not verdict.exists:
         raise ValueError(f"no bound states to solve for: {verdict.reason}")
@@ -319,8 +313,7 @@ def solve_wire_energy(
     f_lo, f_hi = residual(lo), residual(hi)
     if np.sign(f_lo) == np.sign(f_hi):
         raise RuntimeError("no sign change in the bound-state window; no bracketed root")
-    root = brentq(residual, lo, hi, xtol=1e-12, maxiter=200)
-    return float(np.pi - root) if family == "near-pi" else float(root)
+    return float(brentq(residual, lo, hi, xtol=1e-12, maxiter=200))
 
 
 @dataclass(frozen=True)
@@ -343,9 +336,11 @@ def fit_splitting_decay(theta2: float, block_lengths) -> SplittingFit:
     lengths = [int(n) for n in block_lengths]
     if len(lengths) < 4:
         raise ValueError("need at least 4 block lengths for a meaningful fit")
-    energies = np.array(
-        [solve_wire_energy(-np.pi / 2, theta2, n) for n in lengths], dtype=float
-    )
+    return _splitting_fit(theta2, lengths, [solve_wire_energy(-np.pi / 2, theta2, n) for n in lengths])
+
+
+def _splitting_fit(theta2: float, lengths: list[int], energies: list[float]) -> SplittingFit:
+    """Fit ln E = intercept + slope * N to block energies that are already solved."""
     x = np.asarray(lengths, dtype=float)
     y = np.log(energies)
     slope, intercept = np.polyfit(x, y, 1)

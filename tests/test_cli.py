@@ -1,6 +1,10 @@
 import argparse
 import datetime
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -301,6 +305,52 @@ class TestOutputContracts:
 
     def test_missing_subcommand_usage_error(self, capsys):
         assert main([]) == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--kind", "single", "--theta1", "0.25"],
+            ["evolve", "--kind", "symmetric", "--theta1", "0.25", "--theta2", "-0.2"],
+            [
+                "diagonalize", "--kind", "wire", "--theta1", "0.3", "--theta2", "0.2",
+                "--wire-length", "3",
+            ],
+            ["diagonalize", "--kind", "uniform", "--theta1", "0.3", "--n-sites", "1"],
+            [
+                "diagonalize", "--kind", "symmetric", "--theta1", "0.3", "--theta2", "-0.2",
+                "--wire-length", "63", "--n-sites", "64",
+            ],
+        ],
+        ids=["missing-theta2", "missing-wire-length", "wire-theta1", "one-site", "no-exterior"],
+    )
+    def test_malformed_layout(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+class TestEntryPoint:
+    def test_python_m_coinwalk(self):
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "coinwalk", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+
+        done = run("winding", "--theta-min", "0.25", "--grid-points", "64")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["data"][0]["m"] == 1
+        bad = run("evolve", "--kind", "symmetric", "--theta1", "0.25", "--theta2", "-0.2")
+        assert bad.returncode == 2
+        assert bad.stdout == ""
+        assert bad.stderr.startswith("error:")
 
 
 class TestEmitterParity:

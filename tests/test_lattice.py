@@ -235,6 +235,14 @@ class TestReflectingBlocks:
             outside = [m for m in range(length) if m not in allowed]
             assert p[outside].sum() < 1e-14
 
+    def test_wire_walls_hold_exactly(self):
+        # block n = 0..9 on sites 10..19; the reflecting sites 9 and 20 are
+        # the only exterior sites amplitude can reach, not even a 1e-30 leak
+        prof = build_profile("wire", 64, -np.pi / 2, 0.3 * np.pi, wire_length=9, offset=10)
+        p = position_distribution(evolve(delta_state(64, 14), prof, 1000))
+        assert p[20] > 0
+        assert np.all(p[:9] == 0.0) and np.all(p[21:] == 0.0)
+
 
 class TestWalkerStateInvariants:
     def test_rejects_unnormalized(self):

@@ -303,18 +303,17 @@ class TestSolveWireEnergy:
         root = solve_wire_energy(-np.pi / 2, theta2, n_block) / np.pi
         assert abs(root - expected) / expected < 5e-3
 
-    def test_near_pi_family_mirrors(self):
-        near0 = solve_wire_energy(-np.pi / 2, np.pi / 4, 3)
-        nearpi = solve_wire_energy(-np.pi / 2, np.pi / 4, 3, family="near-pi")
-        assert abs(nearpi - (np.pi - near0)) < 1e-15
+    def test_near_pi_pair_mirrors_root(self):
+        # the oracle's near-pi end-mode pair sits at +/-(pi - E)
+        for theta2, n_block in [(np.pi / 4, 3), (np.pi / 3, 5), (np.pi / 6, 8)]:
+            root = solve_wire_energy(-np.pi / 2, theta2, n_block)
+            profile = build_profile("wire", 64, -np.pi / 2, theta2, wire_length=n_block)
+            pair = np.sort(find_bound_states(diagonalize(profile), np.pi).quasi_energies)
+            assert np.max(np.abs(pair - [-(np.pi - root), np.pi - root])) < 1e-10
 
     def test_same_sign_rejected(self):
         with pytest.raises(ValueError):
             solve_wire_energy(np.pi / 2, np.pi / 4, 3)
-
-    def test_bad_family_rejected(self):
-        with pytest.raises(ValueError):
-            solve_wire_energy(-np.pi / 2, np.pi / 4, 3, family="nearish")
 
     def test_general_exterior_angle(self):
         # splitting of a soft-walled block agrees with diagonalization, for
