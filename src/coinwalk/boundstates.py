@@ -10,13 +10,13 @@ opposite signs), with the decay constant tied to the energy by
 
 For a finite block of N+1 sites with angle theta2 between exteriors of
 angle theta1 (equal on both sides), the two end modes hybridize and the
-energies move off 0 and pi; the quantization condition is
+energies move off 0 and pi; with s_i = sin(theta_i) the quantization
+condition is tanh[k2 (N+1)] A = B, where A = sin^2 E - s1 s2 and
 
-    sinh[k2 (N+1)] (sin^2 E - sin t1 sin t2)
-        = cosh[k2 (N+1)] |cos t1| sinh k1 cos t2 sinh k2,
+    B = |cos t1| sinh k1 |cos t2| sinh k2 = sqrt((s1^2 - sin^2 E)(s2^2 - sin^2 E)),
 
-where |cos t1| sinh k1 = sqrt(cos^2 E - cos^2 t1), so the same condition
-covers both signs of cos(theta1) and reflecting ends theta1 = +/- pi/2.
+for either sign of cos(theta1) and cos(theta2) and for reflecting ends
+theta1 = +/- pi/2.
 With theta_3 = -theta_1 on one exterior instead (one net jump), the
 condition is satisfied identically at sin E = 0 and the E = 0, pi modes
 survive at any block length.
@@ -147,26 +147,36 @@ def _kappa_from_energy(theta: float, energy: float) -> float:
     return float(np.arccosh(ratio))
 
 
+def _wire_window(theta1: float, theta2: float) -> float:
+    """Upper edge of the near-zero bound-state window in |E|, below every band."""
+    return min(abs(theta1), np.pi - abs(theta1), abs(theta2), np.pi - abs(theta2))
+
+
+def _wire_terms(theta1: float, theta2: float, energy, block_length):
+    """sin E, A, B and x = k2 (N+1) of the equal-exterior condition, elementwise.
+
+    B comes from (|cos t_i| sinh k_i)^2 = s_i^2 - sin^2 E = (|s_i| - sin E)(|s_i| + sin E).
+    """
+    sin_e, s1, s2 = np.sin(energy), np.sin(theta1), np.sin(theta2)
+    gap1 = (abs(s1) - sin_e) * (abs(s1) + sin_e)
+    gap2 = (abs(s2) - sin_e) * (abs(s2) + sin_e)
+    x = np.arcsinh(np.sqrt(gap2) / abs(np.cos(theta2))) * (np.asarray(block_length) + 1)
+    return sin_e, sin_e * sin_e - s1 * s2, np.sqrt(gap1 * gap2), x
+
+
 def wire_condition_residual(
     theta1: float, theta2: float, energy: float, block_length: int
 ) -> float:
-    """LHS - RHS of the equal-exterior quantization condition; roots are bound-state energies.
+    """sinh(x) A - cosh(x) B of the equal-exterior condition; roots are bound-state energies.
 
-    cos(theta1) sinh(kappa1) is replaced by sqrt(cos^2 E - cos^2 theta1),
-    which holds for either sign of cos(theta1) and stays finite at reflecting
-    ends theta1 = +/- pi/2; the residual needs cos^2 E >= cos^2 theta1.
+    Defined in the window |E| <= min(|theta_i|, pi - |theta_i|) below every band.
     """
     _check_angle(theta1)
     _check_angle(theta2)
-    root_arg = np.cos(energy) ** 2 - np.cos(theta1) ** 2
-    if root_arg < -1e-15:
-        raise ValueError("quasi-energy outside the window: cos^2 E < cos^2 theta1")
-    k2 = _kappa_from_energy(theta2, energy)
-    span = k2 * (int(block_length) + 1)
-    s1, s2 = np.sin(theta1), np.sin(theta2)
-    lhs = np.sinh(span) * (np.sin(energy) ** 2 - s1 * s2)
-    rhs = np.cosh(span) * np.cos(theta2) * np.sinh(k2) * np.sqrt(max(root_arg, 0.0))
-    return float(lhs - rhs)
+    if abs(energy) > _wire_window(theta1, theta2):
+        raise ValueError("quasi-energy outside the window |E| <= min(|theta_i|, pi - |theta_i|)")
+    _, a, b, x = _wire_terms(theta1, theta2, energy, block_length)
+    return float(np.sinh(x) * a - np.cosh(x) * b)
 
 
 def antisymmetric_condition_residual(
@@ -201,11 +211,8 @@ def infinite_wire_limit(theta1: float, theta2: float) -> tuple[float, float]:
 
 
 def splitting_decay_rate(theta2: float) -> float:
-    """Rate kappa_2 of the exp(-kappa_2 N) end-mode splitting in a finite block."""
-    theta2 = _check_angle(theta2)
-    if abs(np.sin(theta2)) < bulk.GAP_TOL or abs(np.cos(theta2)) < 1e-12:
-        raise ValueError("splitting rate undefined at theta2 in {0, +/-pi/2, pi}")
-    return float(-np.log(abs((1.0 - np.sign(theta2) * np.sin(theta2)) / np.cos(theta2))))
+    """Rate kappa_2 of the exp(-kappa_2 N) end-mode splitting: the E = 0 decay constant of theta2."""
+    return decay_constant(theta2, 0.0)
 
 
 # --- evanescent-momentum machinery for materialized modes ---------------------

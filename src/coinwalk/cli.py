@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -42,9 +43,9 @@ from .lattice import (
 )
 from .spectral import (
     SIZE_CAP,
-    _splitting_fit,
     diagonalize,
     find_bound_states,
+    fit_splitting_decay,
     mode_residual,
     solve_wire_energy,
 )
@@ -253,44 +254,27 @@ def cmd_wire_spectrum(args) -> None:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise UsageError("need 1 <= --n-min <= --n-max")
 
-    energies = {token: {} for token in tokens}  # solved roots by token, then N
-    rows, errors = [], []
-    for n in range(args.n_min, args.n_max + 1):
-        row = [n]
-        for token in tokens:
-            try:
-                energy = solve_wire_energy(-np.pi / 2, values[token], n)
-            except (ValueError, RuntimeError) as exc:
-                errors.append({"theta2": token, "N": n, "error": str(exc)})
-                row.append(None)
-                continue
-            energies[token][n] = energy
-            row.append(float(f"{energy / np.pi:.6g}"))
-        rows.append(tuple(row))
-
-    fits = []
-    fit_lengths = [n for n in range(args.n_min, args.n_max + 1) if n >= args.fit_min_n]
+    lengths = np.arange(args.n_min, args.n_max + 1)
+    fit_lengths = [n for n in lengths.tolist() if n >= args.fit_min_n]
+    columns, errors, fits = [], [], []
     for token in tokens:
-        roots = [energies[token].get(n) for n in fit_lengths]
-        if len(fit_lengths) < 4 or None in roots:
-            continue
-        fit = _splitting_fit(values[token], fit_lengths, roots)
-        fits.append(
-            {
-                "theta2": token,
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "r_squared": fit.r_squared,
-                "kappa2_predicted": fit.kappa2_predicted,
-                "fit_n_min": fit_lengths[0],
-                "fit_n_max": fit_lengths[-1],
-            }
-        )
+        try:
+            energies = solve_wire_energy(-np.pi / 2, values[token], lengths)
+            reason = "no bound-state root in the window above 1e-300"
+        except ValueError as exc:  # this theta2 has no bound state
+            energies, reason = np.full(lengths.shape, np.nan), str(exc)
+        missing = np.isnan(energies)
+        errors += [{"theta2": token, "N": n, "error": reason} for n in lengths[missing].tolist()]
+        columns.append([None if math.isnan(e) else float(f"{e / np.pi:.6g}") for e in energies.tolist()])
+        if len(fit_lengths) >= 4 and not missing[lengths >= args.fit_min_n].any():
+            fit = asdict(fit_splitting_decay(values[token], fit_lengths))
+            fits.append(dict(theta2=token, **fit, fit_n_min=fit_lengths[0], fit_n_max=fit_lengths[-1]))
+    errors.sort(key=lambda error: error["N"])
+    rows = list(zip(lengths.tolist(), *columns))
     extras = {"theta1": "-1/2", "fits": fits}
     if errors:
         extras["errors"] = errors
-    columns = ["N"] + [f"E_over_pi[{token}]" for token in tokens]
-    _emit(args, args.command, _params(args), columns, rows, extras)
+    _emit(args, args.command, _params(args), ["N", *(f"E_over_pi[{t}]" for t in tokens)], rows, extras)
 
 
 def _initial_state(args, profile) -> WalkerState:
@@ -353,6 +337,8 @@ def cmd_evolve(args) -> None:
 def cmd_diagonalize(args) -> None:
     if args.n_sites > SIZE_CAP:
         raise UsageError(f"--n-sites exceeds the dense-solver cap {SIZE_CAP}")
+    if args.ipr_threshold is not None and not 0 <= args.ipr_threshold < math.inf:
+        raise UsageError("--ipr-threshold must be finite and non-negative")
     profile = _profile_from_args(args)
     result = diagonalize(profile)
     near_zero = find_bound_states(result, 0.0, args.ipr_threshold).indices

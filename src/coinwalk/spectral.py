@@ -24,9 +24,9 @@ failure.  Localized states are separated from band states by the
 inverse participation ratio sum_n p_n^2, which scales like 1/L for
 extended states but stays O(tanh kappa) for bound states.
 
-Bound-state energies of a finite block with reflecting ends are obtained
-independently by bracketed root finding on the block quantization
-condition, giving a dual route that cross-checks the closed-form modes.
+Bound-state energies of a finite block are obtained independently by
+bisecting the block quantization condition in ln E, for many block lengths
+at once, giving a dual route that cross-checks the closed-form modes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import brentq
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
@@ -286,34 +285,43 @@ def find_bound_states(
     )
 
 
-def _energy_window(theta1: float, theta2: float) -> float:
-    """Upper edge of the near-zero bound-state window in E."""
-    return min(
-        abs(theta1), np.pi - abs(theta1), abs(theta2), np.pi - abs(theta2)
-    )
+_ENERGY_FLOOR = 1e-300  # smaller roots would underflow
 
 
-def solve_wire_energy(theta1: float, theta2: float, block_length: int) -> float:
+def solve_wire_energy(theta1: float, theta2: float, block_length):
     """Bound-state energy of a finite block from the quantization condition.
 
-    Brackets the root of ``wire_condition_residual`` inside the window
-    (0, E_max) and solves it to 1e-12 absolute; the near-pi partner is
-    pi - E by the spectral mirror symmetry.  ``theta1`` may be +/- pi/2
-    (reflecting ends) or any gapped angle of opposite sign to ``theta2``.
+    Bisects a cancellation-free log form of ``wire_condition_residual`` in
+    u = ln E over [ln 1e-300, ln E_max), E_max the window edge, to one ulp
+    of u; the near-pi partner is pi - E by the spectral mirror symmetry.
+    ``theta1`` may be +/- pi/2 (reflecting ends) or any gapped angle of
+    opposite sign to ``theta2``.  An int ``block_length`` gives a float and
+    an array of them an array, NaN where the window holds no root above
+    1e-300; the int form raises ``RuntimeError`` there instead.
     """
     verdict = boundstates.single_boundary_existence(theta1, theta2)
     if not verdict.exists:
         raise ValueError(f"no bound states to solve for: {verdict.reason}")
+    lengths = np.asarray(block_length)
+    jump = abs(np.sin(theta1) - np.sin(theta2))
 
-    def residual(energy: float) -> float:
-        return boundstates.wire_condition_residual(theta1, theta2, energy, block_length)
+    def condition(u):
+        # A^2 - B^2 = sin^2 E (s1 - s2)^2 turns tanh(x) A - B into the difference of
+        # sin^2 E (s1 - s2)^2 / (A + B) and 2A / (1 + e^{2x}); this is the log of their ratio.
+        sin_e, a, b, x = boundstates._wire_terms(theta1, theta2, np.exp(u), lengths)
+        return 2 * np.log(sin_e * jump) + np.logaddexp(0.0, 2 * x) - np.log(2 * a * (a + b))
 
-    lo = 1e-12
-    hi = _energy_window(theta1, theta2) * (1.0 - 1e-9)
-    f_lo, f_hi = residual(lo), residual(hi)
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise RuntimeError("no sign change in the bound-state window; no bracketed root")
-    return float(brentq(residual, lo, hi, xtol=1e-12, maxiter=200))
+    top = boundstates._wire_window(theta1, theta2) * (1.0 - 1e-9)
+    lo = np.full(lengths.shape, np.log(_ENERGY_FLOOR))
+    width = np.log(top) - np.log(_ENERGY_FLOOR)
+    found = (condition(lo) < 0) & (condition(lo + width) > 0)
+    for _ in range(64):  # halves the bracket in ln E, under 700 wide, below one ulp
+        width /= 2
+        lo += width * (condition(lo + width) <= 0)
+    energies = np.where(found, np.exp(lo), np.nan)
+    if lengths.ndim == 0 and not found:
+        raise RuntimeError(f"no bound-state root in [{_ENERGY_FLOOR}, {top:.6g}) at N = {block_length}")
+    return energies if lengths.ndim else float(energies)
 
 
 @dataclass(frozen=True)
@@ -329,22 +337,19 @@ class SplittingFit:
 def fit_splitting_decay(theta2: float, block_lengths) -> SplittingFit:
     """Fit the exponential decay of the end-mode splitting against block length.
 
-    Solves the reflecting-end block (theta1 = -pi/2) for every N in
-    ``block_lengths`` and fits ln E = intercept + slope * N; the slope
-    estimates -kappa_2.
+    Solves the reflecting-end block (theta1 = -pi/2) for all N in
+    ``block_lengths`` at once and fits ln E = intercept + slope * N; the
+    slope estimates -kappa_2.
     """
-    lengths = [int(n) for n in block_lengths]
-    if len(lengths) < 4:
+    lengths = np.array([int(n) for n in block_lengths])
+    if lengths.size < 4:
         raise ValueError("need at least 4 block lengths for a meaningful fit")
-    return _splitting_fit(theta2, lengths, [solve_wire_energy(-np.pi / 2, theta2, n) for n in lengths])
-
-
-def _splitting_fit(theta2: float, lengths: list[int], energies: list[float]) -> SplittingFit:
-    """Fit ln E = intercept + slope * N to block energies that are already solved."""
-    x = np.asarray(lengths, dtype=float)
+    energies = solve_wire_energy(-np.pi / 2, theta2, lengths)
+    if np.isnan(energies).any():
+        raise RuntimeError(f"no bound-state root at N = {lengths[np.isnan(energies)].tolist()}")
     y = np.log(energies)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = intercept + slope * x
+    slope, intercept = np.polyfit(lengths, y, 1)
+    fitted = intercept + slope * lengths
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot

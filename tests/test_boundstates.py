@@ -100,6 +100,12 @@ class TestBlockConditions:
         hi = wire_condition_residual(-np.pi / 2, np.pi / 4, 0.0470 * np.pi, 1)
         assert np.sign(lo) != np.sign(hi)
 
+    def test_wire_root_brackets_obtuse_block(self):
+        # the oracle's splitting at theta2 = 0.7 pi, N = 5 is 1.052454e-3
+        lo = wire_condition_residual(-np.pi / 2, 0.7 * np.pi, 1.0524e-3, 5)
+        hi = wire_condition_residual(-np.pi / 2, 0.7 * np.pi, 1.0525e-3, 5)
+        assert np.sign(lo) != np.sign(hi)
+
     def test_wire_no_root_at_exactly_zero(self):
         assert abs(wire_condition_residual(-np.pi / 2, np.pi / 4, 0.0, 4)) > 1e-6
 

@@ -139,6 +139,32 @@ class TestWireSpectrumCommand:
         fit = fits[0]
         assert abs(fit["slope"] + fit["kappa2_predicted"]) / fit["kappa2_predicted"] < 0.02
 
+    def test_benchmark_request_has_every_cell(self, capsys):
+        argv = ["wire-spectrum", "--theta2-list", "1/3,1/4,1/6,0.4,0.7", "--n-min", "1", "--n-max", "40"]
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        assert all(value is not None for row in payload["data"] for value in row.values())
+        assert "errors" not in payload["extras"]
+        assert len(payload["extras"]["fits"]) == 5
+        for row in payload["data"][:10]:
+            for token, column in REFERENCE_TABLE.items():
+                assert abs(row[f"E_over_pi[{token}]"] / column[row["N"] - 1] - 1) < 5e-3
+        _, again = run_json(capsys, argv)
+        assert json.dumps(again["extras"]["fits"]) == json.dumps(payload["extras"]["fits"])
+
+    def test_errors_only_where_no_bound_state(self, capsys):
+        # -0.2 shares the wall's sign of sin; a 0.1 pi block needs N >= 2 to
+        # hold its end modes inside the gap
+        _, payload = run_json(
+            capsys, ["wire-spectrum", "--theta2-list", "0.1,-0.2,1/4", "--n-max", "3"]
+        )
+        cells = {(e["theta2"], e["N"]) for e in payload["extras"]["errors"]}
+        assert cells == {("0.1", 1), ("-0.2", 1), ("-0.2", 2), ("-0.2", 3)}
+        for row in payload["data"]:
+            assert (row["E_over_pi[0.1]"] is None) == (row["N"] == 1)
+            assert row["E_over_pi[-0.2]"] is None
+            assert row["E_over_pi[1/4]"] > 0
+
     @pytest.mark.parametrize("theta2_list", ["foo", "1/4,3"])
     def test_bad_theta2_token_is_usage_error(self, capsys, theta2_list):
         code = main(["wire-spectrum", "--theta2-list", theta2_list])
@@ -332,6 +358,17 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-0.5"])
+    def test_ipr_threshold_out_of_range(self, capsys, threshold):
+        code = main(
+            ["diagonalize", "--kind", "uniform", "--theta1", "0.25", "--n-sites", "8",
+             f"--ipr-threshold={threshold}"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestEntryPoint:
     def test_python_m_coinwalk(self):
@@ -351,6 +388,17 @@ class TestEntryPoint:
         assert bad.returncode == 2
         assert bad.stdout == ""
         assert bad.stderr.startswith("error:")
+
+    def test_import_leaves_out_scipy_optimize(self):
+        # the root solver needs no scipy.optimize, whose import costs start-up time
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        probe = "import sys, coinwalk.cli; print('scipy.optimize' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0
+        assert done.stdout.strip() == "False"
 
 
 class TestEmitterParity:

@@ -294,6 +294,19 @@ class TestFindBoundStates:
                 assert peak not in far_end_zone
 
 
+def _oracle_splitting(theta1, theta2, n_block):
+    """Smallest |E| of the block's spectrum by dense diagonalization."""
+    kind = "wire" if abs(abs(theta1) - np.pi / 2) < 1e-12 else "symmetric"
+    result = diagonalize(build_profile(kind, 64, theta1, theta2, wire_length=n_block))
+    return float(np.min(np.abs(result.quasi_energies)))
+
+
+def _closed_form_splitting(theta1, theta2, n_block):
+    """Long-block limit 2|s1 s2| / |s1 - s2| e^{-kappa2 (N+1)} of the splitting."""
+    s1, s2 = np.sin(theta1), np.sin(theta2)
+    return 2 * abs(s1 * s2) / abs(s1 - s2) * np.exp(-splitting_decay_rate(theta2) * (n_block + 1))
+
+
 class TestSolveWireEnergy:
     @pytest.mark.parametrize(
         "theta2,n_block,expected",
@@ -331,6 +344,62 @@ class TestSolveWireEnergy:
             e_a = solve_wire_energy(-np.pi / 2, theta2, 11)
             e_b = solve_wire_energy(-np.pi / 2, theta2, 12)
             assert abs(np.log(e_a / e_b) - kappa2) < 0.02 * kappa2
+
+    @pytest.mark.parametrize(
+        "t1,t2,n_block",
+        [
+            (-0.5, 0.7, 5),  # obtuse block angles
+            (0.5, -0.65, 4),
+            (-0.5, 0.4, 6),
+            (-0.3, 0.35, 10),
+            (-0.382854, 0.312333, 11),
+        ],
+    )
+    def test_regressions_match_oracle(self, t1, t2, n_block):
+        t1, t2 = t1 * np.pi, t2 * np.pi
+        assert abs(solve_wire_energy(t1, t2, n_block) - _oracle_splitting(t1, t2, n_block)) <= 1e-13
+
+    # every (sgn sin, sgn cos) quadrant of theta1 and theta2, plus reflecting ends
+    @pytest.mark.parametrize(
+        "t1,t2",
+        [(t1, t2) for t1 in (0.5, -0.5, 0.3, 0.7, -0.3, -0.7)
+         for t2 in (0.35, 0.65, -0.35, -0.65) if np.sign(t1) != np.sign(t2)],
+    )
+    def test_angle_square_grid(self, t1, t2):
+        t1, t2 = t1 * np.pi, t2 * np.pi
+        lengths = np.arange(1, 15)
+        energies = solve_wire_energy(t1, t2, lengths)
+        for n_block, energy in zip(lengths.tolist(), energies.tolist()):
+            assert solve_wire_energy(t1, t2, n_block) == energy
+            oracle = _oracle_splitting(t1, t2, n_block)
+            if oracle > 1e-13:
+                assert abs(energy - oracle) <= 1e-13, n_block
+
+    @pytest.mark.parametrize("t1,t2", [(-0.5, 1 / 3), (-0.5, 0.7), (0.5, -0.65), (-0.3, 0.35), (0.7, -0.25)])
+    def test_long_blocks_follow_closed_form(self, t1, t2):
+        t1, t2 = t1 * np.pi, t2 * np.pi
+        lengths = np.arange(20, 161)
+        relative = solve_wire_energy(t1, t2, lengths) / _closed_form_splitting(t1, t2, lengths) - 1
+        assert np.max(np.abs(relative)) <= 1e-9
+
+    @pytest.mark.parametrize("theta2", [np.pi / 3, np.pi / 4, 0.7 * np.pi])
+    def test_long_block_fit_slope(self, theta2):
+        fit = fit_splitting_decay(theta2, range(20, 161))
+        assert abs(fit.slope + splitting_decay_rate(theta2)) <= 1e-6
+
+    def test_no_root_in_window(self):
+        # a block of angle 0.05 pi needs N > 1/sin(theta2) - 2 sites to hold
+        # end modes inside the gap; a root below 1e-300 is not returned either
+        theta2 = 0.05 * np.pi
+        energies = solve_wire_energy(-np.pi / 2, theta2, np.arange(1, 7))
+        assert np.isnan(energies[:4]).all() and (energies[4:] > 0).all()
+        with pytest.raises(RuntimeError):
+            solve_wire_energy(-np.pi / 2, theta2, 1)
+        with pytest.raises(RuntimeError):
+            fit_splitting_decay(theta2, range(1, 7))
+        assert solve_wire_energy(-np.pi / 2, np.pi / 3, 500) > 1e-300
+        with pytest.raises(RuntimeError):
+            solve_wire_energy(-np.pi / 2, np.pi / 3, 600)
 
 
 class TestReferenceTableViaOracle:
