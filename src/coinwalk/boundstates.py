@@ -200,14 +200,12 @@ def antisymmetric_condition_residual(
 def infinite_wire_limit(theta1: float, theta2: float) -> tuple[float, float]:
     """Decay constants of the E = 0, pi modes when the block length goes to infinity.
 
-    sinh(kappa_1) = |tan theta_1| and sinh(kappa_2) = |tan theta_2|; defined
-    only for opposite-sign angle pairs.
+    Each is ``decay_constant`` at E = 0, so sinh(kappa_i) = |tan theta_i|;
+    defined only for opposite-sign angle pairs, and a reflecting coin
+    (theta = +/- pi/2) raises ``ValueError`` as a hard wall.
     """
     _require_boundary_modes(theta1, theta2)
-    return (
-        float(np.arcsinh(abs(np.tan(theta1)))),
-        float(np.arcsinh(abs(np.tan(theta2)))),
-    )
+    return decay_constant(theta1, 0.0), decay_constant(theta2, 0.0)
 
 
 def splitting_decay_rate(theta2: float) -> float:

@@ -69,8 +69,8 @@ def _angle_in_pi_units(text: str) -> float:
             value = float(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an angle in units of pi: {text!r}") from exc
-    if abs(value) > 1.0 + 1e-12:
-        raise argparse.ArgumentTypeError("angles are limited to [-1, 1] in units of pi")
+    if not math.isfinite(value) or abs(value) > 1.0 + 1e-12:
+        raise argparse.ArgumentTypeError("angles must be finite and lie in [-1, 1] in units of pi")
     return value * np.pi
 
 

@@ -1,16 +1,18 @@
 """Numerical machinery: exact diagonalization oracle and energy-equation roots.
 
 The one-step operator U = S C of any coin layout is a real orthogonal
-2L x 2L matrix with two nonzeros per row; coin entries below machine
-epsilon (cos theta at theta = +/- pi/2) are stored as exact zeros.  Its
-eigenvalues exp(-iE) are found in real arithmetic:
+2L x 2L matrix with two entries per row, held as index and value arrays;
+coin entries below machine epsilon (cos theta at theta = +/- pi/2) are
+stored as exact zeros.  Its eigenvalues exp(-iE) are found in real
+arithmetic, with numpy alone:
 
-1. U is split into the connected components of its sparsity graph.
-   Reflecting coins cut the ring into independent blocks, so the flat
-   band at E = +/- pi/2 of a reflecting exterior becomes many 2 x 2
+1. U is split into the connected components of the graph of its nonzero
+   entries.  Reflecting coins cut the ring into independent blocks, so the
+   flat band at E = +/- pi/2 of a reflecting exterior becomes many 2 x 2
    blocks instead of one large degenerate cluster.
 2. Each component's symmetric part (U + U^T)/2 is diagonalized with
-   ``eigh``; its eigenvalues are cos E.
+   ``np.linalg.eigh``, components of one size in one batched call; its
+   eigenvalues are cos E.
 3. Eigenvalues of equal cos E (gap below ``_CLUSTER_GAP``) form a
    cluster spanning an invariant subspace of U; a generic +/-E pair is a
    cluster of two.  Clusters of equal size are resolved together by a
@@ -19,8 +21,8 @@ eigenvalues exp(-iE) are found in real arithmetic:
    accurate at E = 0 and pi where arccos(cos E) is not.
 
 A largest eigen-residual ||Uv - e^{-iE} v|| above 1e-10, taken through
-the sparse action of U on the returned vectors, is treated as a solver
-failure.  Localized states are separated from band states by the
+the action of U's entries on the returned vectors, is treated as a
+solver failure.  Localized states are separated from band states by the
 inverse participation ratio sum_n p_n^2, which scales like 1/L for
 extended states but stays O(tanh kappa) for bound states.
 
@@ -34,9 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from . import boundstates
 from .lattice import CoinProfile, _coin_entries, step
@@ -50,23 +49,28 @@ _CLUSTER_GAP = 1e-4
 _RESIDUAL_GUARD = 1e-10
 
 
-def _coin_shift(profile: CoinProfile) -> csr_array:
-    """Sparse one-step matrix; sub-epsilon cos/sin residue is stored as exact zero."""
+def _coin_shift(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray]:
+    """One-step matrix as entries U[i, cols[i, j]] = vals[i, j], two per row.
+
+    The values come from ``_coin_entries``; the exact zeros of reflecting
+    coins are kept, so every row has two entries.
+    """
     length = profile.length
     c, s = _coin_entries(profile)
     sites = np.arange(length)
     src_a = (sites + 1) % length  # left component arrives from the right neighbor
     src_b = (sites - 1) % length
-    rows = np.repeat(np.arange(2 * length), 2)
-    cols = np.stack([2 * src_a, 2 * src_a + 1, 2 * src_b, 2 * src_b + 1], axis=1).ravel()
-    vals = np.stack([c[src_a], s[src_a], -s[src_b], c[src_b]], axis=1).ravel()
-    keep = vals != 0.0
-    return csr_array((vals[keep], (rows[keep], cols[keep])), shape=(2 * length, 2 * length))
+    cols = np.stack([2 * src_a, 2 * src_a + 1, 2 * src_b, 2 * src_b + 1], axis=1).reshape(-1, 2)
+    vals = np.stack([c[src_a], s[src_a], -s[src_b], c[src_b]], axis=1).reshape(-1, 2)
+    return cols, vals
 
 
 def build_unitary(profile: CoinProfile) -> np.ndarray:
     """Assemble the real 2L x 2L one-step matrix; its action equals ``lattice.step``."""
-    return _coin_shift(profile).toarray()
+    cols, vals = _coin_shift(profile)
+    mat = np.zeros((len(cols), len(cols)))
+    np.put_along_axis(mat, cols, vals, axis=1)
+    return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,57 +94,83 @@ class SpectralResult:
         return int(self.quasi_energies.size)
 
 
-def _eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a stack of real symmetric or complex Hermitian matrices.
+def _apply(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """U applied to every row of ``rows``, for U[i, cols[i, j]] = vals[i, j]."""
+    out = np.empty(rows.shape, dtype=rows.dtype)
+    for top in range(0, len(rows), 64):  # a few rows at a time stay in cache
+        chunk, total = rows[top : top + 64], out[top : top + 64]
+        np.multiply(np.take(chunk, cols[:, 0], axis=1), vals[:, 0], out=total)
+        for j in range(1, cols.shape[1]):
+            term = np.take(chunk, cols[:, j], axis=1)
+            term *= vals[:, j]
+            total += term
+    return out
 
-    Many small matrices go to the batched ``np.linalg.eigh`` (512 2 x 2
-    solves: ~1 ms, against ~16 ms in scipy's per-matrix loop).  A lone
-    matrix is overwritten by LAPACK's divide-and-conquer solver, without
-    the input copy that ``np.linalg.eigh`` makes; at m = 1024 that saves
-    ~16 MB of peak RSS for a real matrix and ~32 MB for a complex one.
+
+def _components(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Connected-component labels 0, 1, ... of the graph of U's nonzero entries, per row.
+
+    Each round hooks every tree root onto the smallest root across the
+    nonzero entries that touch its tree, then jumps pointers until every
+    row points at its root; a component's label orders it by its first row.
     """
-    if len(stack) > 1:
-        return np.linalg.eigh(stack)
-    # The transpose is Fortran-ordered, so LAPACK overwrites it without a
-    # copy; it is the conjugate of the matrix, so its eigenvectors are too.
-    values, vectors = eigh(stack[0].T, overwrite_a=True, check_finite=False, driver="evd")
-    np.conjugate(vectors, out=vectors)
-    return values[None], vectors[None]
+    linked = vals != 0
+    tail = np.nonzero(linked)[0]
+    head = cols[linked]
+    root = np.arange(len(cols))
+    while not np.array_equal(root[tail], root[head]):
+        low = np.minimum(root[tail], root[head])
+        np.minimum.at(root, root[tail], low)
+        np.minimum.at(root, root[head], low)
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    return np.unique(root, return_inverse=True)[1]
 
 
-def _block_eigh(sym: csr_array, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a block-diagonal symmetric matrix, block by block.
+def _block_eigh(
+    cols: np.ndarray, vals: np.ndarray, members: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of (U + U^T)/2 for U block-diagonal in the row order ``members``.
 
-    ``sizes`` lists the diagonal blocks in order, equal sizes adjacent.
-    Returns the eigenvalues and the eigenvectors as columns (zero outside
-    their block), sorted within each block.
+    U is given by its entries U[i, cols[i, j]] = vals[i, j]; taken in the
+    order ``members``, its rows and columns form diagonal blocks of the
+    sizes listed in ``sizes``, equal sizes adjacent.  Returns the
+    eigenvalues, sorted within each block, and the eigenvectors as rows
+    (zero outside their block) in the original order.
     """
-    entries = sym.tocoo()
-    size = sym.shape[0]
+    size = len(cols)
+    place = np.argsort(members)
+    cols, vals = place[cols[members]], vals[members]
     values, basis = np.empty(size), np.zeros((size, size))
     top = 0
     for block, count in zip(*np.unique(sizes, return_counts=True)):
         end = top + block * count
-        inside = (entries.row >= top) & (entries.row < end)
-        row, col = entries.row[inside] - top, entries.col[inside] - top
+        linked = vals[top:end] != 0  # a zero entry may point into another block
+        row = np.nonzero(linked)[0]
+        col = cols[top:end][linked] - top
         stack = np.zeros((count, block, block))
-        stack[row // block, row % block, col % block] = entries.data[inside]
-        eigenvalues, vectors = _eigh(stack)
+        stack[row // block, row % block, col % block] = vals[top:end][linked]
+        stack[row // block, col % block, row % block] += vals[top:end][linked]
+        stack *= 0.5
+        eigenvalues, vectors = np.linalg.eigh(stack)
         del stack
         values[top:end] = eigenvalues.ravel()
         run = basis[top:end, top:end].reshape(count, block, count, block)
         np.einsum("iaib->iab", run)[...] = vectors
         top = end
-    return values, basis
+    return values, basis[place].T
 
 
-def _resolve_clusters(antisym, q, cos_e):
+def _resolve_clusters(cols, vals, q, cos_e):
     """Eigenpairs of U restricted to k clusters of m members each.
 
-    ``q`` holds the clusters' eigenvectors of (U + U^T)/2 with shape
-    (n, k, m) and ``cos_e`` their eigenvalues with shape (k, m).  In a
-    cluster's basis Q, G = Q^T U Q = diag(cos E) + A with A = Q^T K Q
-    and K = (U - U^T)/2.  Each cluster is solved by eigh of the Hermitian
+    U is given by its entries U[i, cols[i, j]] = vals[i, j]; ``q`` holds
+    the clusters' eigenvectors of (U + U^T)/2 as rows, shape (k, m, n), and
+    ``cos_e`` their eigenvalues with shape (k, m).  In a cluster's basis Q,
+    G = Q^T U Q = diag(cos E) + A with A = Q^T K Q and K = (U - U^T)/2.
+    A is antisymmetric and equals G off the diagonal, so it is built from
+    the strict upper triangle of G, for which U acts only on members
+    1..m-1 of each cluster.  Each cluster is solved by eigh of the Hermitian
     part of e^{i phi} G, whose eigenvalues mu = cos(E - phi) separate every
     distinct lambda of the cluster for phi = pi/2 (|cos E| > 1/2) or pi/4;
     a +/-E pair is the 2 x 2 case.  For a unit eigenvector y, lambda =
@@ -148,17 +178,20 @@ def _resolve_clusters(antisym, q, cos_e):
     lambda), imaginary part (cos(phi) Re lambda - mu) / sin(phi).  Returns
     E = -arg(lambda) and the coefficients y in the basis Q.
     """
-    herm = np.zeros(cos_e.shape + cos_e.shape[1:], dtype=complex)
-    for top in range(0, q.shape[2], 256):  # few temporaries for a large cluster
-        part = np.ascontiguousarray(q[:, :, top : top + 256])
-        image = (antisym @ part.reshape(q.shape[0], -1)).reshape(part.shape)
-        herm.imag[:, :, top : top + 256] = q.transpose(1, 2, 0) @ image.transpose(1, 0, 2)
-    del part, image
+    upper = np.zeros(cos_e.shape + cos_e.shape[1:])
+    for top in range(1, q.shape[1], 256):  # few temporaries for a large cluster
+        part = np.ascontiguousarray(q[:, top : top + 256])
+        image = _apply(cols, vals, part.reshape(-1, q.shape[2])).reshape(part.shape)
+        upper[:, :, top : top + 256] = np.triu(q @ image.transpose(0, 2, 1), 1 - top)
+        del part, image
     phase = np.where(np.abs(cos_e[:, 0]) > 0.5, np.pi / 2, np.pi / 4)
+    herm = np.zeros(upper.shape, dtype=complex)
+    np.subtract(upper, upper.transpose(0, 2, 1), out=herm.imag)
+    del upper
     herm.imag *= np.sin(phase)[:, None, None]
     diagonal = np.einsum("kii->ki", herm)
     diagonal += np.cos(phase)[:, None] * cos_e
-    mu, coeffs = _eigh(herm)
+    mu, coeffs = np.linalg.eigh(herm)
     del herm, diagonal
     re = np.einsum("ki,kij,kij->kj", cos_e, coeffs.real, coeffs.real)
     re += np.einsum("ki,kij,kij->kj", cos_e, coeffs.imag, coeffs.imag)
@@ -166,20 +199,20 @@ def _resolve_clusters(antisym, q, cos_e):
     return np.arctan2(-im, re), coeffs
 
 
-def _eig_orthogonal(unitary: csr_array) -> tuple[np.ndarray, np.ndarray, float]:
+def _eig_orthogonal(cols: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigen-decomposition of a real orthogonal matrix, sorted by quasi-energy.
 
+    The matrix is given by its entries U[i, cols[i, j]] = vals[i, j].
     Returns E = -arg(lambda) in (-pi, pi], the unit eigenvectors as columns
     and the largest eigen-residual ||Uv - lambda v||.
     """
-    _, labels = connected_components(unitary, directed=False)
+    labels = _components(cols, vals)
     sizes = np.bincount(labels)
-    # The work runs in a site order sorted by component size, then
+    # Eigenvalues are kept in a row order sorted by component size, then
     # component, where the components of one size are a run of equal
-    # diagonal blocks; the eigenvectors are put back in site order last.
+    # diagonal blocks; the eigenvectors stay in the original row order.
     members = np.lexsort((labels, sizes[labels]))
-    permuted = unitary[members][:, members]
-    cos_e, basis = _block_eigh((permuted + permuted.T) * 0.5, np.sort(sizes))
+    cos_e, basis = _block_eigh(cols, vals, members, np.sort(sizes))
     component = labels[members]
     size = cos_e.size
     starts = np.flatnonzero(
@@ -188,14 +221,17 @@ def _eig_orthogonal(unitary: csr_array) -> tuple[np.ndarray, np.ndarray, float]:
     counts = np.diff(np.append(starts, size))
     # Clusters of one size are solved together; each batch takes a copy of
     # its basis vectors, so the basis is freed before the first solve.
-    spans = [starts[counts == count][:, None] + np.arange(count) for count in np.unique(counts)]
-    batches = [(span, np.take(basis, span, axis=1)) for span in spans]
+    # (np.unique would import numpy.ma, at the cost of every process's first request.)
+    spans = [
+        starts[counts == count][:, None] + np.arange(count)
+        for count in np.flatnonzero(np.bincount(counts))
+    ]
+    batches = [(span, basis[span]) for span in spans]
     del basis
-    antisym = (permuted - permuted.T) * 0.5
     energies = np.empty(size)
     solved = []
     for span, q in batches:
-        energies[span], coeffs = _resolve_clusters(antisym, q, cos_e[span])
+        energies[span], coeffs = _resolve_clusters(cols, vals, q, cos_e[span])
         solved.append((span, q, coeffs))
     del batches
 
@@ -212,19 +248,17 @@ def _eig_orthogonal(unitary: csr_array) -> tuple[np.ndarray, np.ndarray, float]:
             slots = position[span[:, top : top + 256].ravel()]
             for part, out in ((coeffs.real, rows.real), (coeffs.imag, rows.imag)):
                 block = np.ascontiguousarray(part[:, :, top : top + 256].transpose(0, 2, 1))
-                out[slots] = (block @ q.transpose(1, 2, 0)).reshape(-1, size)
+                out[slots] = (block @ q).reshape(-1, size)
     del solved, q, coeffs
 
-    # A few rows at a time, the residual is taken through the sparse
-    # action and the rows are put back in site order.
-    site_order = np.argsort(members)
+    # A few rows at a time, the residual is taken through the action of U.
     residual = 0.0
     for top in range(0, size, 64):
-        chunk = np.ascontiguousarray(rows[top : top + 64].T)
-        moved = permuted @ chunk
-        moved -= chunk * np.exp(-1j * energies[top : top + 64])
-        residual = max(residual, float(np.linalg.norm(moved, axis=0).max()))
-        rows[top : top + 64] = chunk.T[:, site_order]
+        chunk = rows[top : top + 64]
+        moved = _apply(cols, vals, chunk)
+        moved -= chunk * np.exp(-1j * energies[top : top + 64, None])
+        moved = moved.view(float)
+        residual = max(residual, float(np.sqrt(np.einsum("ij,ij->i", moved, moved).max())))
     if residual > _RESIDUAL_GUARD:
         raise RuntimeError(f"eigensolver failure: eigen-residual {residual:.2e} exceeds {_RESIDUAL_GUARD}")
     return energies, rows.T, residual
@@ -239,7 +273,7 @@ def diagonalize(profile: CoinProfile) -> SpectralResult:
     """
     if profile.length > SIZE_CAP:
         raise ValueError(f"ring size {profile.length} exceeds the dense-solver cap {SIZE_CAP}")
-    energies, vectors, _ = _eig_orthogonal(_coin_shift(profile))
+    energies, vectors, _ = _eig_orthogonal(*_coin_shift(profile))
     prob = np.square(vectors.real)
     prob += np.square(vectors.imag)
     site_prob = prob[0::2] + prob[1::2]

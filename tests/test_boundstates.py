@@ -149,6 +149,12 @@ class TestInfiniteLimitAndSplitting:
         with pytest.raises(ValueError):
             infinite_wire_limit(np.pi / 4, np.pi / 4)
 
+    @pytest.mark.parametrize("theta1,theta2", [(-np.pi / 2, np.pi / 4), (np.pi / 3, -np.pi / 2)])
+    def test_reflecting_coin_is_hard_wall(self, theta1, theta2):
+        # a reflecting coin has no finite decay constant, as in decay_constant
+        with pytest.raises(ValueError, match="hard wall"):
+            infinite_wire_limit(theta1, theta2)
+
     def test_splitting_rates(self):
         assert abs(splitting_decay_rate(np.pi / 4) - LOG_SILVER) < 1e-14
         assert abs(splitting_decay_rate(np.pi / 3) - LOG_BRONZE) < 1e-14

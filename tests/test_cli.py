@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import types
 
 import numpy as np
@@ -358,6 +359,25 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dispersion", "--theta", "nan"],
+            ["bound-single", "--theta1", "nan", "--theta2", "0.25"],
+            ["winding", "--theta-min", "nan"],
+            ["winding", "--theta-min", "0.1", "--theta-max", "inf/inf", "--steps", "3"],
+            ["wire-spectrum", "--theta2-list", "1/4,nan"],
+        ],
+        ids=["dispersion", "bound-single", "winding", "winding-max", "wire-spectrum"],
+    )
+    def test_non_finite_angle(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        # argparse puts a usage line before its error line; wire-spectrum has none
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-0.5"])
     def test_ipr_threshold_out_of_range(self, capsys, threshold):
         code = main(
@@ -399,6 +419,33 @@ class TestEntryPoint:
         )
         assert done.returncode == 0
         assert done.stdout.strip() == "False"
+
+
+    def test_runs_without_scipy(self):
+        # scipy is a test-only dependency: with every scipy import made to fail,
+        # the eigensolver, the kernel and the root solver still run
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        probe = textwrap.dedent(
+            """
+            import os, sys
+            sys.modules["scipy"] = None
+            from coinwalk.cli import main
+            requests = [
+                "diagonalize --kind wire --theta1 -0.5 --theta2 0.3 --wire-length 6 --n-sites 48",
+                "diagonalize --kind symmetric --theta1 -0.6 --theta2 0.7 --wire-length 5 --n-sites 48",
+                "diagonalize --kind uniform --theta1 0 --n-sites 48",
+                "evolve --kind uniform --theta1 0.25 --n-sites 32 --steps 20",
+                "wire-spectrum --theta2-list 1/3,1/4 --n-max 8",
+            ]
+            print([main(r.split() + ["--output", os.devnull]) for r in requests])
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[0, 0, 0, 0, 0]", done.stderr
 
 
 class TestEmitterParity:

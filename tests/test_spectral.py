@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from coinwalk import (
     CoinProfile,
@@ -215,6 +216,43 @@ def test_near_reflecting_coins_match_dense_eig(profile):
     assert_matches_dense_eig(profile)
 
 
+def same_partition(labels, reference):
+    """Whether two labelings group the same rows together, whatever the label values."""
+    pairs = set(zip(labels.tolist(), reference.tolist()))
+    return len(pairs) == len(set(labels.tolist())) == len(set(reference.tolist()))
+
+
+def _planted_zero_profiles():
+    rng = np.random.default_rng(61)
+    for length in (24, 57):
+        angles = rng.uniform(-np.pi, np.pi, length)
+        # exact zeros of cos (+/- pi/2) and of sin (0, pi) at random sites
+        planted = rng.choice(length, size=length // 3, replace=False)
+        angles[planted] = rng.choice([np.pi / 2, -np.pi / 2, 0.0, np.pi], size=planted.size)
+        yield CoinProfile(angles)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [build_profile("uniform", 40, theta) for theta in (0.0, np.pi / 2, -np.pi / 2, np.pi)]
+    + [
+        build_profile(kind, 40, -np.sign(np.sin(theta2)) * LAYOUT_THETA1[kind], theta2, wire_length=6)
+        for kind in sorted(set(LAYOUT_THETA1) - {"uniform"})
+        for theta2 in QUADRANT_THETA2
+    ]
+    + [build_profile("uniform", 40, theta2) for theta2 in QUADRANT_THETA2]
+    + list(_planted_zero_profiles()),
+)
+def test_components_match_csgraph(profile):
+    cols, vals = spectral._coin_shift(profile)
+    linked = vals != 0
+    graph = csr_array((vals[linked], (np.nonzero(linked)[0], cols[linked])), shape=(len(cols),) * 2)
+    count, reference = connected_components(graph, directed=False)
+    labels = spectral._components(cols, vals)
+    assert labels.max() + 1 == count
+    assert same_partition(labels, reference)
+
+
 def test_planted_spectrum_across_cluster_threshold():
     # eigenvalue pairs whose cos E differ by just under and just over the
     # clustering gap, near E = 0, pi/2 and pi and in between, plus exact
@@ -235,7 +273,8 @@ def test_planted_spectrum_across_cluster_threshold():
     frame, _ = np.linalg.qr(rng.normal(size=(size, size)))
     mat = frame @ rotation @ frame.T
 
-    energies, vectors, residual = spectral._eig_orthogonal(csr_array(mat))
+    cols = np.broadcast_to(np.arange(size), mat.shape)
+    energies, vectors, residual = spectral._eig_orthogonal(cols, mat)
     planted = np.concatenate([angles, -np.asarray(angles), [0.0, 0.0, np.pi]])
     assert match_energies(energies, planted)[1] < 1e-12
     assert np.all(np.diff(energies) >= 0)
