@@ -10,9 +10,13 @@ arithmetic, with numpy alone:
    entries.  Reflecting coins cut the ring into independent blocks, so the
    flat band at E = +/- pi/2 of a reflecting exterior becomes many 2 x 2
    blocks instead of one large degenerate cluster.
-2. Each component's symmetric part (U + U^T)/2 is diagonalized with
-   ``np.linalg.eigh``, components of one size in one batched call; its
-   eigenvalues are cos E.
+2. Each component's symmetric part (U + U^T)/2 is diagonalized,
+   components of one size in one batched call; its eigenvalues are cos E.
+   When U's nonzero entries all join sites of opposite parity and every
+   component holds as many even-site rows as odd-site rows, as on an even
+   ring, that part is [[0, B], [B^T, 0]] and the batch is one
+   ``np.linalg.svd`` of the half-size even-odd blocks B; otherwise it is
+   one ``np.linalg.eigh`` of the whole components.
 3. Eigenvalues of equal cos E (gap below ``_CLUSTER_GAP``) form a
    cluster spanning an invariant subspace of U; a generic +/-E pair is a
    cluster of two.  Clusters of equal size are resolved together by a
@@ -137,8 +141,22 @@ def _block_eigh(
     sizes listed in ``sizes``, equal sizes adjacent.  Returns the
     eigenvalues, sorted within each block, and the eigenvectors as rows
     (zero outside their block) in the original order.
+
+    Row i lies on site i // 2.  If every nonzero entry joins rows on sites
+    of opposite parity and each block has as many even-site rows as
+    odd-site rows, as on an even ring, a block taken even rows first is
+    [[0, B], [B^T, 0]]; for the SVD B = u diag(s) v^T its eigenvalues are
+    -s and s with eigenvectors (u; -v)/sqrt(2) and (u; v)/sqrt(2).  Other
+    matrices take ``np.linalg.eigh`` of the whole block.
     """
     size = len(cols)
+    odd = np.arange(size) // 2 % 2
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
+    split = not np.any((odd[cols] == odd[:, None]) & (vals != 0)) and np.array_equal(
+        2 * np.bincount(block_of, weights=odd[members]), sizes
+    )
+    if split:
+        members = members[np.lexsort((odd[members], block_of))]
     place = np.argsort(members)
     cols, vals = place[cols[members]], vals[members]
     values, basis = np.empty(size), np.zeros((size, size))
@@ -148,15 +166,33 @@ def _block_eigh(
         linked = vals[top:end] != 0  # a zero entry may point into another block
         row = np.nonzero(linked)[0]
         col = cols[top:end][linked] - top
-        stack = np.zeros((count, block, block))
-        stack[row // block, row % block, col % block] = vals[top:end][linked]
-        stack[row // block, col % block, row % block] += vals[top:end][linked]
-        stack *= 0.5
-        eigenvalues, vectors = np.linalg.eigh(stack)
-        del stack
-        values[top:end] = eigenvalues.ravel()
+        entry = vals[top:end][linked]
         run = basis[top:end, top:end].reshape(count, block, count, block)
-        np.einsum("iaib->iab", run)[...] = vectors
+        vectors = np.einsum("iaib->iab", run)
+        if split:
+            half = block // 2
+            at, row, col = row // block, row % block, col % block
+            lead = row < half  # entries of the even rows; the odd rows' enter as B^T
+            stack = np.zeros((count, half, half))
+            stack[at[lead], row[lead], col[lead] - half] = entry[lead]
+            stack[at[~lead], col[~lead], row[~lead] - half] += entry[~lead]
+            stack *= 0.5
+            u, s, vt = np.linalg.svd(stack)
+            del stack
+            values[top:end] = np.concatenate([-s, s[:, ::-1]], axis=1).ravel()
+            vectors[:, :half, :half] = u
+            vectors[:, :half, half:] = u[:, :, ::-1]
+            vectors[:, half:, :half] = -vt.transpose(0, 2, 1)
+            vectors[:, half:, half:] = vt[:, ::-1].transpose(0, 2, 1)
+            vectors *= np.sqrt(0.5)
+        else:
+            stack = np.zeros((count, block, block))
+            stack[row // block, row % block, col % block] = entry
+            stack[row // block, col % block, row % block] += entry
+            stack *= 0.5
+            eigenvalues, vectors[...] = np.linalg.eigh(stack)
+            del stack
+            values[top:end] = eigenvalues.ravel()
         top = end
     return values, basis[place].T
 
@@ -178,16 +214,16 @@ def _resolve_clusters(cols, vals, q, cos_e):
     lambda), imaginary part (cos(phi) Re lambda - mu) / sin(phi).  Returns
     E = -arg(lambda) and the coefficients y in the basis Q.
     """
-    upper = np.zeros(cos_e.shape + cos_e.shape[1:])
+    herm = np.zeros(cos_e.shape + cos_e.shape[1:], dtype=complex)
+    upper = herm.real  # G's strict upper triangle, until A is formed from it
     for top in range(1, q.shape[1], 256):  # few temporaries for a large cluster
         part = np.ascontiguousarray(q[:, top : top + 256])
         image = _apply(cols, vals, part.reshape(-1, q.shape[2])).reshape(part.shape)
         upper[:, :, top : top + 256] = np.triu(q @ image.transpose(0, 2, 1), 1 - top)
         del part, image
     phase = np.where(np.abs(cos_e[:, 0]) > 0.5, np.pi / 2, np.pi / 4)
-    herm = np.zeros(upper.shape, dtype=complex)
     np.subtract(upper, upper.transpose(0, 2, 1), out=herm.imag)
-    del upper
+    upper[...] = 0
     herm.imag *= np.sin(phase)[:, None, None]
     diagonal = np.einsum("kii->ki", herm)
     diagonal += np.cos(phase)[:, None] * cos_e

@@ -190,7 +190,7 @@ def assert_matches_dense_eig(profile):
         assert find_bound_states(result, target).count == find_bound_states(reference, target).count
 
 
-@pytest.mark.parametrize("length", [64, 128])
+@pytest.mark.parametrize("length", [64, 65, 128])
 @pytest.mark.parametrize("theta2", QUADRANT_THETA2, ids=["+sin+cos", "+sin-cos", "-sin+cos", "-sin-cos"])
 @pytest.mark.parametrize("kind", sorted(LAYOUT_THETA1))
 def test_diagonalize_matches_dense_eig(kind, theta2, length):
@@ -207,8 +207,9 @@ def test_diagonalize_matches_dense_eig(kind, theta2, length):
     [
         build_profile("uniform", 128, 0.499 * np.pi),
         build_profile("symmetric", 128, 0.501 * np.pi, -0.475 * np.pi, wire_length=5),
+        build_profile("symmetric", 129, 0.501 * np.pi, -0.475 * np.pi, wire_length=5),
     ],
-    ids=["uniform", "symmetric"],
+    ids=["uniform", "symmetric", "symmetric-odd"],
 )
 def test_near_reflecting_coins_match_dense_eig(profile):
     # coins close to +/- pi/2 give a narrow band that the cluster gap merges
@@ -222,9 +223,9 @@ def same_partition(labels, reference):
     return len(pairs) == len(set(labels.tolist())) == len(set(reference.tolist()))
 
 
-def _planted_zero_profiles():
+def _planted_zero_profiles(lengths=(24, 57)):
     rng = np.random.default_rng(61)
-    for length in (24, 57):
+    for length in lengths:
         angles = rng.uniform(-np.pi, np.pi, length)
         # exact zeros of cos (+/- pi/2) and of sin (0, pi) at random sites
         planted = rng.choice(length, size=length // 3, replace=False)
@@ -251,6 +252,57 @@ def test_components_match_csgraph(profile):
     labels = spectral._components(cols, vals)
     assert labels.max() + 1 == count
     assert same_partition(labels, reference)
+
+
+def block_eigh(profile):
+    """``spectral._block_eigh`` on the component order that ``_eig_orthogonal`` uses."""
+    cols, vals = spectral._coin_shift(profile)
+    labels = spectral._components(cols, vals)
+    sizes = np.bincount(labels)
+    return spectral._block_eigh(cols, vals, np.lexsort((labels, sizes[labels])), np.sort(sizes))
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        build_profile(kind, 48, -np.sign(np.sin(theta2)) * LAYOUT_THETA1[kind], theta2, wire_length=6)
+        for kind in sorted(set(LAYOUT_THETA1) - {"uniform"})
+        for theta2 in QUADRANT_THETA2
+    ]
+    + [build_profile("uniform", 48, theta) for theta in QUADRANT_THETA2 + (np.pi / 2, -np.pi / 2)]
+    + list(_planted_zero_profiles((24, 56))),
+)
+def test_even_ring_split_matches_dense_eigh(profile, monkeypatch):
+    # an even ring's (U + U^T)/2 joins only sites of opposite parity, so every
+    # block, the 2-row blocks cut off by reflecting coins included, is solved
+    # by the SVD of its even-odd block and no eigh runs
+    mat = build_unitary(profile)
+    sym = (mat + mat.T) / 2
+    reference = np.linalg.eigvalsh(sym)
+
+    def no_eigh(stack):
+        raise AssertionError("eigh on an even ring")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    values, rows = block_eigh(profile)
+    assert np.max(np.abs(np.sort(values) - reference)) <= 1e-13
+    assert np.max(np.linalg.norm(sym @ rows.T - rows.T * values, axis=0)) <= 1e-13
+    assert np.max(np.abs(rows @ rows.T - np.eye(len(values)))) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [build_profile("single", 33, -0.5 * np.pi, 0.3 * np.pi), build_profile("uniform", 33, 0.3 * np.pi)],
+)
+def test_odd_ring_takes_eigh(profile, monkeypatch):
+    # the seam of an odd ring joins two even sites, so its blocks take eigh
+    def no_svd(stack):
+        raise AssertionError("SVD on an odd ring")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    values, _ = block_eigh(profile)
+    mat = build_unitary(profile)
+    assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh((mat + mat.T) / 2))) <= 1e-13
 
 
 def test_planted_spectrum_across_cluster_threshold():
