@@ -221,16 +221,22 @@ def _branch_sign(theta: float, energy: float) -> float:
     return 1.0 if np.cos(energy) * np.cos(theta) > 0 else -1.0
 
 
-def _evanescent(theta: float, energy: float, decaying: bool) -> tuple[complex, float]:
-    """Return (z, kappa) with z = e^{ik}; |z| < 1 decays toward n = +infinity."""
+def _evanescent(theta: float, energy: float, decaying: bool) -> tuple[float, float]:
+    """Return (z, kappa) with real z = e^{ik}; |z| < 1 decays toward n = +infinity."""
     kappa = _kappa_from_energy(theta, energy)
     sign = _branch_sign(theta, energy)
     z = sign * np.exp(-kappa if decaying else kappa)
-    return complex(z), kappa
+    return float(z), kappa
 
 
-def _spinor_at(theta: float, z: complex, energy: float) -> np.ndarray:
-    return bulk.eigenspinor_raw(theta, -1j * np.log(complex(z)), energy)
+def _spinor_at(theta: float, z: float) -> np.ndarray:
+    """Real xi with ``bulk.eigenspinor_raw`` = i xi at sin E = 0 and e^{ik} = z.
+
+    There sin k = i (1/z - z) / 2, so the raw spinor (i sin(t) z, cos(t) sin k)
+    is i (sin(t) z, cos(t) (1/z - z) / 2); built in real arithmetic, it carries
+    none of the rounding noise of a complex log and exp at k = pi + i kappa.
+    """
+    return np.array([np.sin(theta) * z, np.cos(theta) * (1 / z - z) / 2])
 
 
 def _site_of(coordinate: int, length: int, offset: int) -> int:
@@ -251,7 +257,7 @@ def _materialize(
 
     Each rule maps an array of layout coordinates to their (count, 2) spinors.
     """
-    amp = np.zeros((length, 2), dtype=complex)
+    amp = np.zeros((length, 2))
     for mask, rule in pieces:
         amp[mask] = rule(coords[mask])
     seam = _seam_sites(coords, length, offset)
@@ -280,7 +286,9 @@ def single_boundary_mode(
     t z2^n chi2 (n >= 1) on a ring, normalized once.  For the sign case
     theta1 > 0 > theta2 at E = 0 this reduces to the geometric form
     x^(n-1) (x, -1) with x = (1 + sin theta)/cos theta per region; the
-    opposite orientation comes out of the same construction.
+    opposite orientation comes out of the same construction.  The spinors
+    chi_i and the weights r, t are each i times a real number, so the mode
+    is materialized in real arithmetic and its imaginary part is exactly 0.
     """
     energy = _energy_family(energy)
     _require_boundary_modes(theta1, theta2)
@@ -289,16 +297,17 @@ def single_boundary_mode(
 
     z1, kappa1 = _evanescent(theta1, energy, decaying=False)
     z2, kappa2 = _evanescent(theta2, energy, decaying=True)
-    chi1 = _spinor_at(theta1, z1, energy)
-    chi2 = _spinor_at(theta2, z2, energy)
-    # Left-component matching at n = 0 fixes (r, t); the right-component
-    # matching at n = 1 then holds because the existence condition is met.
-    r, t = chi2[0], chi1[0]
+    xi1 = _spinor_at(theta1, z1)
+    xi2 = _spinor_at(theta2, z2)
+    # Left-component matching at n = 0 fixes (r, t) = i (xi2[0], xi1[0]); the
+    # right-component matching at n = 1 then holds because the existence
+    # condition is met.  r z1^n chi1 = -xi2[0] z1^n xi1, and likewise for t.
+    r, t = xi2[0], xi1[0]
 
     coords = ring_coordinates(length, offset, centered=True)
     pieces = (
-        (coords <= 0, lambda n: (r * z1**n)[:, None] * chi1),
-        (coords >= 1, lambda n: (t * z2**n)[:, None] * chi2),
+        (coords <= 0, lambda n: (-r * z1**n)[:, None] * xi1),
+        (coords >= 1, lambda n: (-t * z2**n)[:, None] * xi2),
     )
     amp, seam = _materialize(coords, pieces, length, offset)
     amp = amp / np.linalg.norm(amp)
@@ -307,7 +316,7 @@ def single_boundary_mode(
         energy=energy,
         kappa1=kappa1,
         kappa2=kappa2,
-        coefficients=(complex(r), complex(t)),
+        coefficients=(complex(0, r), complex(0, t)),
         configuration="single",
         wavefunction=WalkerState.from_amplitudes(amp.reshape(-1)),
         profile=profile,
@@ -328,6 +337,8 @@ def antisymmetric_mode(
     Ansatz weights A = sin(theta1), B = 0, D = sin(theta2) and
     C = -sin(theta2) (s1 s2)^(N+1) e^{(kappa1-kappa2)(N+1)}, where s_i are
     the momentum-class signs; with B = 0 the mode sits at the n = 0 jump.
+    The weights are real and every spinor is i times a real one, so the
+    wavefunction is materialized as the ansatz divided by i: a real vector.
     """
     energy = _energy_family(energy)
     _require_boundary_modes(theta1, theta2)
@@ -339,29 +350,30 @@ def antisymmetric_mode(
     z1g, kappa1 = _evanescent(theta1, energy, decaying=False)
     z2d, kappa2 = _evanescent(theta2, energy, decaying=True)
     z3d, _ = _evanescent(theta3, energy, decaying=True)
-    chi1 = _spinor_at(theta1, z1g, energy)
-    chi2d = _spinor_at(theta2, z2d, energy)
-    chi3 = _spinor_at(theta3, z3d, energy)
+    xi1 = _spinor_at(theta1, z1g)
+    xi2d = _spinor_at(theta2, z2d)
+    xi3 = _spinor_at(theta3, z3d)
 
     sign1 = _branch_sign(theta1, energy)
     sign2 = _branch_sign(theta2, energy)
-    coeff_a = complex(np.sin(theta1))
-    coeff_d = complex(np.sin(theta2))
-    coeff_c = complex(-np.sin(theta2) * (sign1 * sign2) ** (n_block + 1)
-                      * np.exp((kappa1 - kappa2) * (n_block + 1)))
+    coeff_a = np.sin(theta1)
+    coeff_d = np.sin(theta2)
+    coeff_c = -np.sin(theta2) * (sign1 * sign2) ** (n_block + 1) * np.exp(
+        (kappa1 - kappa2) * (n_block + 1)
+    )
     # Folded form of C z3^n, safe against large exp((kappa1-kappa2)(N+1)).
     c_scale = -np.sin(theta2) * sign2 ** (n_block + 1) * np.exp(-kappa2 * (n_block + 1))
 
     coords = ring_coordinates(length, offset, centered=True)
     pieces = (
-        (coords < 0, lambda n: (coeff_d * z1g**n)[:, None] * chi1),
-        ((coords >= 0) & (coords <= n_block), lambda n: (coeff_a * z2d**n)[:, None] * chi2d),
+        (coords < 0, lambda n: (coeff_d * z1g**n)[:, None] * xi1),
+        ((coords >= 0) & (coords <= n_block), lambda n: (coeff_a * z2d**n)[:, None] * xi2d),
         (
             coords > n_block,
             lambda n: (
                 c_scale * sign1 ** (n_block + 1 + n) * np.exp(-kappa1 * (n - n_block - 1))
             )[:, None]
-            * chi3,
+            * xi3,
         ),
     )
     amp, seam = _materialize(coords, pieces, length, offset)
@@ -373,7 +385,7 @@ def antisymmetric_mode(
         energy=energy,
         kappa1=kappa1,
         kappa2=kappa2,
-        coefficients=(coeff_a, 0j, coeff_c, coeff_d),
+        coefficients=(complex(coeff_a), 0j, complex(coeff_c), complex(coeff_d)),
         configuration="antisymmetric",
         wavefunction=WalkerState.from_amplitudes(amp.reshape(-1)),
         profile=profile,

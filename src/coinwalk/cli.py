@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import io
+import itertools
 import json
 import math
 import sys
@@ -103,19 +104,30 @@ def _csv_field(value) -> str:
     return str(value)
 
 
+def _json_column(values: tuple):
+    """Lazily encode one column; a column of one exact type skips the per-cell dispatch."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    return map(_json_cell, values)
+
+
 def _json_rows(columns, rows) -> str:
     """Data rows as ``json.dumps(rows_as_dicts, indent=2)`` writes them inside the payload.
 
     The pure-Python encoder that ``indent`` selects costs more than the
-    computation for large outputs, so every row fills one fixed template.
+    computation for large outputs, so cells are encoded column by column and
+    every row fills one fixed template.
     """
     # dict(zip(columns, row)) keeps a repeated key at its first place with its last value
     place = dict(zip(columns, range(len(columns))))
-    if len(place) < len(columns):
-        rows = [[row[i] for i in place.values()] for row in rows]
     fields = ",".join(f"\n      {json.dumps(key).replace('%', '%%')}: %s" for key in place)
     template = "    {" + fields + "\n    }"
-    return ",\n".join(template % tuple(map(_json_cell, row)) for row in rows)
+    by_column = list(zip(*rows))
+    cells = [_json_column(by_column[i]) for i in place.values()]
+    return ",\n".join(map(template.__mod__, zip(*cells)))
 
 
 def _emit(args, command: str, params: dict, columns, rows, extras=None) -> None:
@@ -324,11 +336,12 @@ def cmd_evolve(args) -> None:
     snapshots = sorted(set([0] + list(range(every, args.steps, every)) + [args.steps]))
     rows = []
     previous_t = 0
+    length = profile.length
     for t in snapshots:
         state = evolve(state, profile, t - previous_t)
         previous_t = t
         prob = position_distribution(state).tolist()
-        rows.extend((t, site, p) for site, p in enumerate(prob))
+        rows.extend(zip(itertools.repeat(t, length), range(length), prob))
     extras = {"final_norm": float(np.linalg.norm(state.amplitudes) ** 2)}
     params = {**_params(args), "snapshot_every": every}
     _emit(args, args.command, params, ("t", "site", "prob"), rows, extras)

@@ -13,7 +13,10 @@ periodic wrap.  Composite step: U = S C (coin first, shift second).
 Amplitudes are stored as one flat interleaved complex vector
 (a0, b0, a1, b1, ...) so that the step is exactly the 2L x 2L matrix
 assembled by ``spectral.build_unitary``: both take their coin entries from
-``_coin_entries``, so a reflecting coin cuts the same bonds in each.
+``_coin_entries``, so a reflecting coin cuts the same bonds in each.  The
+step is real, so ``evolve`` runs a state with zero imaginary part in real
+arithmetic: a delta start, or an E = 0, pi boundary mode, which is
+self-conjugate and materialized as a real vector.
 
 Named coin layouts are mapped onto the ring through an integer ``offset``:
 the site carrying layout coordinate n sits at ring index (offset + n) % L.
@@ -247,6 +250,9 @@ def evolve(state: WalkerState, profile: CoinProfile, t: int) -> WalkerState:
     The result equals ``t`` applications of ``apply_shift(apply_coin(.))``
     bit for bit: the same products and sums are taken, written into
     preallocated buffers, and the sums land directly in shifted slices.
+    U = S C is real, so a state whose imaginary part is exactly zero (a
+    delta start, or an E = 0, pi mode, which ``boundstates`` materializes
+    real) is stepped in real arithmetic, moving half the bytes per step.
     """
     t = int(t)
     if t < 0:
@@ -254,8 +260,9 @@ def evolve(state: WalkerState, profile: CoinProfile, t: int) -> WalkerState:
     if t == 0:
         return state
     _check_same_length(state, profile)
-    c, s = (part.astype(complex) for part in _coin_entries(profile))
-    psi = state.spinors().T.copy()  # rows a and b
+    spin = state.spinors()
+    psi = (spin if spin.imag.any() else spin.real).T.copy()  # rows a and b
+    c, s = (part.astype(psi.dtype) for part in _coin_entries(profile))
     cos_part = np.empty_like(psi)  # (c a, c b)
     sin_part = np.empty_like(psi)  # (s b, s a)
     swapped = psi[::-1]

@@ -9,6 +9,7 @@ from coinwalk import (
     eigenspinor_raw,
     infinite_wire_limit,
     mode_residual,
+    oracle_compare,
     position_distribution,
     single_boundary_condition_residual,
     single_boundary_existence,
@@ -326,3 +327,28 @@ class TestAntisymmetricMode:
                 for energy in (0.0, np.pi):
                     sol = antisymmetric_mode(t1, t2, energy, 8, 96)
                     assert mode_residual(sol) < 1e-10
+
+
+# (theta1, theta2) in units of pi: theta2 in each (sgn sin, sgn cos) quadrant,
+# each against a theta1 of the opposite sin sign with either sign of cos
+MAJORANA_ANGLES = [
+    (-sign * mag1, sign * mag2) for sign in (1, -1) for mag2 in (0.35, 0.65) for mag1 in (0.3, 0.7)
+]
+
+
+class TestMajoranaModesAreReal:
+    """The E = 0, pi modes are self-conjugate, and are materialized as real vectors."""
+
+    @pytest.mark.parametrize("energy", [0.0, np.pi], ids=["0", "pi"])
+    @pytest.mark.parametrize("theta1,theta2", MAJORANA_ANGLES)
+    @pytest.mark.parametrize("configuration", ["single", "antisymmetric"])
+    def test_imaginary_part_exactly_zero(self, configuration, theta1, theta2, energy):
+        theta1, theta2 = theta1 * np.pi, theta2 * np.pi
+        if configuration == "single":
+            sol = single_boundary_mode(theta1, theta2, energy, 96)
+        else:
+            sol = antisymmetric_mode(theta1, theta2, energy, 10, 96)
+        assert not sol.wavefunction.amplitudes.imag.any()
+        assert mode_residual(sol) < 1e-10
+        assert oracle_compare(sol, sol.profile) > 1 - 1e-8
+

@@ -510,6 +510,24 @@ class TestEmitterParity:
         (call,) = recorded
         assert capsys.readouterr().out == self.reference(*call)
 
+    @pytest.mark.parametrize(
+        "columns,rows",
+        [
+            (("x", "y"), [(0.5 * i, -1.25e-300) for i in range(5)] + [(float("nan"), 2.0)]),
+            (("x", "y"), [(1.5, 0.1), (float("inf"), 0.2), (2.5, 0.3)]),
+            (("x", "y"), [(1.5, 0.1), (2.5, -float("inf")), (3.5, 0.3)]),
+            (("n", "m"), [(i, 10**20 - i) for i in range(5)] + [(True, 3)]),
+            (("n", "m"), [(0, False), (1, 7), (2, 8)]),
+            (("x", "y"), [(0.25 * i, 1.0) for i in range(5)] + [(np.float64(0.1), 3.0)]),
+            (("n", "m"), [(i, -i) for i in range(5)] + [(None, 9)]),
+            (("t", "x", "t", "y"), [(i, 0.5 * i, 2 * i + 1, f"r{i}") for i in range(4)]),
+        ],
+        ids=["nan", "inf", "-inf", "bool-true", "bool-false", "np-float64", "none", "repeated-key"],
+    )
+    def test_column_encoder(self, columns, rows):
+        want = json.dumps({"data": [dict(zip(columns, row)) for row in rows]}, indent=2)
+        assert '{\n  "data": [\n' + cli._json_rows(columns, rows) + "\n  ]\n}" == want
+
     def test_special_values_and_csv(self, capsys, recorded):
         columns = ("x", 'k"%s\u00e9', "flag", "name", "x")
         rows = [

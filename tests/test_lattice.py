@@ -141,15 +141,43 @@ class TestKernelParity:
     @pytest.mark.parametrize("t", [1, 7, 50])
     @pytest.mark.parametrize("name,prof", list(kernel_profiles()))
     def test_bitwise_equal_to_coin_then_shift(self, name, prof, t):
+        self.check(random_state(np.random.default_rng(t), prof.length), prof, t)
+
+    @pytest.mark.parametrize("t", [1, 7, 50])
+    @pytest.mark.parametrize("name,prof", list(kernel_profiles()))
+    @pytest.mark.parametrize("component", ["left", "right"])
+    def test_delta_starts_bitwise(self, name, prof, component, t):
+        # a delta start has zero imaginary part and takes the real kernel
+        self.check(delta_state(prof.length, prof.length // 3, component), prof, t)
+
+    @pytest.mark.parametrize("t", [1, 7, 50])
+    @pytest.mark.parametrize("name,prof", list(kernel_profiles()))
+    @pytest.mark.parametrize("start", ["real", "real-negative-zero-imag", "imaginary"])
+    def test_real_and_imaginary_starts_bitwise(self, name, prof, start, t):
         rng = np.random.default_rng(t)
-        state = random_state(rng, prof.length)
+        values = rng.normal(size=2 * prof.length)
+        if start == "imaginary":  # nonzero imaginary part: stays on the complex kernel
+            values = 1j * values
+        state = WalkerState.from_amplitudes(values, normalize=True)
+        if start == "real-negative-zero-imag":
+            amplitudes = state.amplitudes.copy()
+            amplitudes.imag = -0.0
+            state = WalkerState(amplitudes)
+            assert np.signbit(state.amplitudes.imag).all()
+        self.check(state, prof, t)
+
+    @staticmethod
+    def check(state, prof, t):
         before = state.amplitudes.copy()
         want = state
         for _ in range(t):
             want = apply_shift(apply_coin(want, prof))
         got = evolve(state, prof, t)
+        assert got.amplitudes.dtype == complex
         assert np.array_equal(got.amplitudes, want.amplitudes)
+        # the input is untouched, down to the sign of its zeros
         assert np.array_equal(state.amplitudes, before)
+        assert np.array_equal(np.signbit(state.amplitudes.view(float)), np.signbit(before.view(float)))
 
 
 class TestPositionDistribution:
