@@ -44,9 +44,9 @@ from .lattice import (
 )
 from .spectral import (
     SIZE_CAP,
+    _splitting_fit,
     diagonalize,
     find_bound_states,
-    fit_splitting_decay,
     mode_residual,
     solve_wire_energy,
 )
@@ -267,7 +267,8 @@ def cmd_wire_spectrum(args) -> None:
         raise UsageError("need 1 <= --n-min <= --n-max")
 
     lengths = np.arange(args.n_min, args.n_max + 1)
-    fit_lengths = [n for n in lengths.tolist() if n >= args.fit_min_n]
+    fitted = lengths >= args.fit_min_n
+    fit_lengths = lengths[fitted].tolist()
     columns, errors, fits = [], [], []
     for token in tokens:
         try:
@@ -278,8 +279,8 @@ def cmd_wire_spectrum(args) -> None:
         missing = np.isnan(energies)
         errors += [{"theta2": token, "N": n, "error": reason} for n in lengths[missing].tolist()]
         columns.append([None if math.isnan(e) else float(f"{e / np.pi:.6g}") for e in energies.tolist()])
-        if len(fit_lengths) >= 4 and not missing[lengths >= args.fit_min_n].any():
-            fit = asdict(fit_splitting_decay(values[token], fit_lengths))
+        if len(fit_lengths) >= 4 and not missing[fitted].any():  # fits the table's roots
+            fit = asdict(_splitting_fit(values[token], lengths[fitted], energies[fitted]))
             fits.append(dict(theta2=token, **fit, fit_n_min=fit_lengths[0], fit_n_max=fit_lengths[-1]))
     errors.sort(key=lambda error: error["N"])
     rows = list(zip(lengths.tolist(), *columns))

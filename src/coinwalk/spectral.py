@@ -417,6 +417,11 @@ def fit_splitting_decay(theta2: float, block_lengths) -> SplittingFit:
     energies = solve_wire_energy(-np.pi / 2, theta2, lengths)
     if np.isnan(energies).any():
         raise RuntimeError(f"no bound-state root at N = {lengths[np.isnan(energies)].tolist()}")
+    return _splitting_fit(theta2, lengths, energies)
+
+
+def _splitting_fit(theta2: float, lengths: np.ndarray, energies: np.ndarray) -> SplittingFit:
+    """Least-squares line through (N, ln E) for roots already solved."""
     y = np.log(energies)
     slope, intercept = np.polyfit(lengths, y, 1)
     fitted = intercept + slope * lengths

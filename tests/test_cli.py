@@ -7,11 +7,12 @@ import subprocess
 import sys
 import textwrap
 import types
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from coinwalk import cli
+from coinwalk import cli, spectral
 from coinwalk.cli import main
 
 REFERENCE_TABLE = {
@@ -152,6 +153,26 @@ class TestWireSpectrumCommand:
                 assert abs(row[f"E_over_pi[{token}]"] / column[row["N"] - 1] - 1) < 5e-3
         _, again = run_json(capsys, argv)
         assert json.dumps(again["extras"]["fits"]) == json.dumps(payload["extras"]["fits"])
+
+    def test_solves_each_root_once(self, capsys, monkeypatch):
+        # the decay fit reuses the table's roots: one solve per theta2 token
+        calls = []
+        solve = spectral.solve_wire_energy
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(cli, "solve_wire_energy", counted)
+        monkeypatch.setattr(spectral, "solve_wire_energy", counted)
+        argv = ["wire-spectrum", "--theta2-list", "1/3,1/4,-0.2,0.7", "--n-max", "12", "--fit-min-n", "3"]
+        _, payload = run_json(capsys, argv)
+        assert len(calls) == 4
+        fits = payload["extras"]["fits"]
+        assert [fit["theta2"] for fit in fits] == ["1/3", "1/4", "0.7"]
+        for fit in fits:  # the same numbers as solving the fitted lengths again
+            want = asdict(spectral.fit_splitting_decay(cli._angle_in_pi_units(fit["theta2"]), range(3, 13)))
+            assert json.dumps({key: fit[key] for key in want}) == json.dumps(want)
 
     def test_errors_only_where_no_bound_state(self, capsys):
         # -0.2 shares the wall's sign of sin; a 0.1 pi block needs N >= 2 to

@@ -125,14 +125,53 @@ class TestStepEvolve:
         with pytest.raises(ValueError):
             evolve(random_state(rng, 8), random_profile(rng, 8), -1)
 
+    @pytest.mark.parametrize("t", [2.9, 2.0, np.float64(3.0)])
+    def test_non_integral_steps_rejected(self, t):
+        rng = np.random.default_rng(10)
+        with pytest.raises(TypeError):
+            evolve(random_state(rng, 8), random_profile(rng, 8), t)
+
+    def test_numpy_integer_steps(self):
+        rng = np.random.default_rng(10)
+        state, prof = random_state(rng, 8), random_profile(rng, 8)
+        assert np.array_equal(evolve(state, prof, np.int64(3)).amplitudes, evolve(state, prof, 3).amplitudes)
+
+
+class TestSublatticeClasses:
+    """Every step moves each component by one site, so parity classes never mix on an even ring."""
+
+    @pytest.mark.parametrize("component", ["left", "right"])
+    @pytest.mark.parametrize("site", [0, 5])
+    def test_even_ring_delta_keeps_parity(self, site, component):
+        length = 16
+        prof = build_profile("single", length, -0.3 * np.pi, 0.35 * np.pi, offset=3)
+        parity = np.arange(length) % 2
+        state = delta_state(length, site, component)
+        for t in range(1, 3 * length + 1):
+            state = evolve(state, prof, 1)
+            p = position_distribution(state)
+            assert np.all(p[parity != (site + t) % 2] == 0.0)
+            assert p[parity == (site + t) % 2].sum() > 1 - 1e-12
+        at_once = evolve(delta_state(length, site, component), prof, 3 * length)
+        assert np.array_equal(state.amplitudes, at_once.amplitudes)
+
+    def test_odd_ring_delta_reaches_both_parities(self):
+        length = 15
+        prof = build_profile("uniform", length, 0.3 * np.pi)
+        parity = np.arange(length) % 2
+        p = position_distribution(evolve(delta_state(length, 4), prof, 3 * length))
+        assert p[parity == 0].sum() > 1e-3 and p[parity == 1].sum() > 1e-3
+
 
 def kernel_profiles():
     rng = np.random.default_rng(12)
     for length in (1, 2, 3, 64):
         yield f"random-{length}", random_profile(rng, length)
-    for kind in ("uniform", "single", "symmetric", "antisymmetric", "wire"):
-        theta1 = np.pi / 2 if kind == "wire" else -0.3 * np.pi
-        yield kind, build_profile(kind, 64, theta1, 0.35 * np.pi, wire_length=9)
+    for length in (64, 63, 65):  # odd rings step the double cover
+        for kind in ("uniform", "single", "symmetric", "antisymmetric", "wire"):
+            theta1 = np.pi / 2 if kind == "wire" else -0.3 * np.pi
+            name = kind if length == 64 else f"{kind}-{length}"
+            yield name, build_profile(kind, length, theta1, 0.35 * np.pi, wire_length=9)
 
 
 class TestKernelParity:
@@ -165,6 +204,23 @@ class TestKernelParity:
             state = WalkerState(amplitudes)
             assert np.signbit(state.amplitudes.imag).all()
         self.check(state, prof, t)
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 50])
+    @pytest.mark.parametrize("name,prof", list(kernel_profiles()))
+    @pytest.mark.parametrize("start", ["one-sublattice", "other-sublattice-negative-zero", "two-class"])
+    def test_sublattice_starts_bitwise(self, name, prof, start, t):
+        # even rings keep the occupied sublattice class only; an all -0.0 class counts as empty
+        rng = np.random.default_rng(t)
+        spin = rng.normal(size=(prof.length, 2)) + 1j * rng.normal(size=(prof.length, 2))
+        if start == "two-class":  # one site on each sublattice
+            spin[2:] = 0.0
+        else:
+            spin[1::2] = 0.0
+        spin /= np.linalg.norm(spin)
+        if start == "other-sublattice-negative-zero":
+            spin[1::2] = complex(-0.0, -0.0)
+            assert np.signbit(spin[1::2].view(float)).all()
+        self.check(WalkerState(spin.ravel()), prof, t)
 
     @staticmethod
     def check(state, prof, t):
