@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import io
-import itertools
 import json
 import math
 import sys
@@ -53,6 +52,10 @@ from .spectral import (
 
 SCHEMA_VERSION = 2
 _NOT_PARAMS = ("command", "func", "format", "output")
+# A bound start drops its far tail below this, which spares stepping the slow subnormal
+# arithmetic.  Stepping is orthogonal, so the exact walk moves by at most sqrt(2L) * 1e-200;
+# rounding can carry the change to the last bits of tiny probs (seen near 1e-266).
+_TAIL_CUT = 1e-200
 
 
 class UsageError(Exception):
@@ -85,16 +88,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _json_cell(value) -> str:
-    """Encode one data cell exactly as ``json.dumps`` does."""
-    kind = type(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if kind is int:
-        return int.__repr__(value)
-    return json.dumps(value)
-
-
 def _csv_field(value) -> str:
     """One CSV cell or header value: None is empty and every float prints as ``float.__repr__``."""
     if value is None:
@@ -104,34 +97,47 @@ def _csv_field(value) -> str:
     return str(value)
 
 
-def _json_column(values: tuple):
-    """Lazily encode one column; a column of one exact type skips the per-cell dispatch."""
-    kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return map(float.__repr__, values)
-    if kinds == {int}:
-        return map(int.__repr__, values)
-    return map(_json_cell, values)
+def _json_column(values) -> list:
+    """One column's cells as ``json.dumps`` writes them; int and finite float arrays take fast paths."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu":  # format each distinct value once
+            cells = values.tolist()
+            texts = {cell: int.__repr__(cell) for cell in set(cells)}
+            return [texts[cell] for cell in cells]
+        if values.dtype.kind == "f" and np.isfinite(values).all():  # exact zeros skip float.__repr__
+            texts = ["0.0"] * values.size
+            for index in np.flatnonzero((values == 0) & np.signbit(values)).tolist():
+                texts[index] = "-0.0"
+            nonzero = np.flatnonzero(values)
+            for index, text in zip(nonzero.tolist(), map(float.__repr__, values[nonzero].tolist())):
+                texts[index] = text
+            return texts
+        values = values.tolist()
+    return [float.__repr__(c) if type(c) is float and math.isfinite(c) else json.dumps(c) for c in values]
 
 
-def _json_rows(columns, rows) -> str:
+def _json_rows(columns, data) -> str:
     """Data rows as ``json.dumps(rows_as_dicts, indent=2)`` writes them inside the payload.
 
-    The pure-Python encoder that ``indent`` selects costs more than the
-    computation for large outputs, so cells are encoded column by column and
-    every row fills one fixed template.
+    ``data`` holds one nonempty list, tuple or array per name; array cells are
+    their ``tolist()`` values.  The pure-Python encoder that ``indent`` selects
+    costs more than the computation for large outputs, so each column is
+    encoded once and interleaved with the constant key texts.
     """
     # dict(zip(columns, row)) keeps a repeated key at its first place with its last value
     place = dict(zip(columns, range(len(columns))))
-    fields = ",".join(f"\n      {json.dumps(key).replace('%', '%%')}: %s" for key in place)
-    template = "    {" + fields + "\n    }"
-    by_column = list(zip(*rows))
-    cells = [_json_column(by_column[i]) for i in place.values()]
-    return ",\n".join(map(template.__mod__, zip(*cells)))
+    keys = [f"\n      {json.dumps(key)}: " for key in place]
+    count, width = len(data[0]), 2 * len(keys)
+    pieces = [None] * (count * width + 1)
+    for j, index in enumerate(place.values()):
+        pieces[2 * j : -1 : width] = [("," if j else "\n    },\n    {") + keys[j]] * count
+        pieces[2 * j + 1 :: width] = _json_column(data[index])
+    pieces[0], pieces[-1] = "    {" + keys[0], "\n    }"
+    return "".join(pieces)
 
 
-def _emit(args, command: str, params: dict, columns, rows, extras=None) -> None:
-    """Write one run as JSON (canonical) or CSV (flat projection)."""
+def _emit(args, command: str, params: dict, columns, data, extras=None) -> None:
+    """Write one run as JSON (canonical) or CSV (flat projection) from one sequence per column."""
     extras = extras or {}
     meta = {
         "command": command,
@@ -140,30 +146,24 @@ def _emit(args, command: str, params: dict, columns, rows, extras=None) -> None:
         "params": params,
     }
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "meta": meta,
-            "data": [],
-            "extras": extras,
-        }
+        payload = {"schema_version": SCHEMA_VERSION, "meta": meta, "data": [], "extras": extras}
         text = json.dumps(payload, indent=2) + "\n"
-        if rows:
+        if len(data[0]):
             # Only top-level keys start a line with exactly two spaces and a
             # quote, so this finds the (empty) data list of the payload.
             head, tail = text.split('\n  "data": []', 1)
-            text = f'{head}\n  "data": [\n{_json_rows(columns, rows)}\n  ]{tail}'
+            text = f'{head}\n  "data": [\n{_json_rows(columns, data)}\n  ]{tail}'
     else:
         buf = io.StringIO()
         buf.write(f"# schema_version={SCHEMA_VERSION}\n")
-        buf.write(f"# command={command}\n")
-        buf.write(f"# version={__version__}\n")
-        buf.write(f"# generated_at={meta['generated_at']}\n")
+        for key in ("command", "version", "generated_at"):
+            buf.write(f"# {key}={meta[key]}\n")
         for key, value in params.items():
             buf.write(f"# param.{key}={_csv_field(value)}\n")
         for key, value in extras.items():
             buf.write(f"# extra.{key}={json.dumps(value)}\n")
         buf.write(",".join(str(c) for c in columns) + "\n")
-        for row in rows:
+        for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in data)):
             buf.write(",".join(map(_csv_field, row)) + "\n")
         text = buf.getvalue()
     if args.output:
@@ -196,16 +196,15 @@ def cmd_dispersion(args) -> None:
     if args.k_points < 2:
         raise UsageError("--k-points must be at least 2")
     ks = -np.pi + 2 * np.pi * (np.arange(args.k_points) + 0.5) / args.k_points
-    rows = []
+    e_plus = np.array([dispersion(args.theta, k) for k in ks])
+    vectors = []
     for k in ks:
-        e_plus = dispersion(args.theta, k)
         try:
-            nx, ny, nz = bloch_vector(args.theta, k).tolist()
+            vectors.append(bloch_vector(args.theta, k).tolist())
         except GapClosedError:
-            nx = ny = nz = None
-        rows.append((float(k), float(e_plus), float(-e_plus), nx, ny, nz))
+            vectors.append((None, None, None))
     columns = ("k", "E_plus", "E_minus", "n_x", "n_y", "n_z")
-    _emit(args, args.command, _params(args), columns, rows)
+    _emit(args, args.command, _params(args), columns, (ks, e_plus, -e_plus, *zip(*vectors)))
 
 
 def cmd_winding(args) -> None:
@@ -218,20 +217,22 @@ def cmd_winding(args) -> None:
         if args.steps == 1
         else np.linspace(args.theta_min, args.theta_max, args.steps)
     )
-    rows = []
+    results = []
     for theta in thetas.tolist():
         try:
             result = winding_number(theta, grid_points=args.grid_points)
-            rows.append((theta, result.m, result.integral_value, None))
+            results.append((result.m, result.integral_value, None))
         except GapClosedError:
-            rows.append((theta, None, None, "gap-closed"))
-    _emit(args, args.command, _params(args), ("theta", "m", "integral_value", "reason"), rows)
+            results.append((None, None, "gap-closed"))
+    columns = ("theta", "m", "integral_value", "reason")
+    _emit(args, args.command, _params(args), columns, (thetas, *zip(*results)))
 
 
 def cmd_bound_single(args) -> None:
     verdict = single_boundary_existence(args.theta1, args.theta2)
     extras = {"exists": verdict.exists, "reason": verdict.reason}
-    rows = []
+    columns = ("n", "site", "prob", "a_re", "a_im", "b_re", "b_im")
+    data = [()] * len(columns)
     if verdict.exists:
         energy = 0.0 if args.energy == "0" else float(np.pi)
         solution = single_boundary_mode(
@@ -250,9 +251,8 @@ def cmd_bound_single(args) -> None:
         sites = (offset % args.n_sites + coords) % args.n_sites
         prob = position_distribution(solution.wavefunction)[sites]
         spin = solution.wavefunction.spinors()[sites].view(float)  # a_re, a_im, b_re, b_im
-        rows = list(zip(coords.tolist(), sites.tolist(), prob.tolist(), *spin.T.tolist()))
-    columns = ("n", "site", "prob", "a_re", "a_im", "b_re", "b_im")
-    _emit(args, args.command, _params(args), columns, rows, extras)
+        data = (coords, sites, prob, *spin.T)
+    _emit(args, args.command, _params(args), columns, data, extras)
 
 
 def cmd_wire_spectrum(args) -> None:
@@ -283,25 +283,22 @@ def cmd_wire_spectrum(args) -> None:
             fit = asdict(_splitting_fit(values[token], lengths[fitted], energies[fitted]))
             fits.append(dict(theta2=token, **fit, fit_n_min=fit_lengths[0], fit_n_max=fit_lengths[-1]))
     errors.sort(key=lambda error: error["N"])
-    rows = list(zip(lengths.tolist(), *columns))
     extras = {"theta1": "-1/2", "fits": fits}
     if errors:
         extras["errors"] = errors
-    _emit(args, args.command, _params(args), ["N", *(f"E_over_pi[{t}]" for t in tokens)], rows, extras)
+    names = ["N", *(f"E_over_pi[{t}]" for t in tokens)]
+    _emit(args, args.command, _params(args), names, (lengths, *columns), extras)
 
 
 def _initial_state(args, profile) -> WalkerState:
     text = args.init
     if text.startswith("delta:"):
-        parts = text.split(":")
-        try:
-            site = int(parts[1])
-        except (IndexError, ValueError) as exc:
-            raise UsageError(f"malformed --init {text!r}") from exc
-        component = parts[2] if len(parts) > 2 else "left"
-        if component not in ("left", "right"):
+        site, *component = text[len("delta:") :].split(":")
+        if not site.isdecimal() or component not in ([], ["left"], ["right"]):
             raise UsageError(f"malformed --init {text!r}")
-        return delta_state(profile.length, site, component)
+        if int(site) >= profile.length:
+            raise UsageError(f"--init site {site} is not a ring site 0..{profile.length - 1}")
+        return delta_state(profile.length, int(site), *component)
     if text.startswith("bound:"):
         family = text.split(":", 1)[1]
         if family not in ("0", "pi"):
@@ -322,7 +319,8 @@ def _initial_state(args, profile) -> WalkerState:
             )
         else:
             raise UsageError("bound-state start needs kind 'single' or 'antisymmetric'")
-        return solution.wavefunction
+        amplitudes = solution.wavefunction.amplitudes
+        return WalkerState(np.where(abs(amplitudes) < _TAIL_CUT, 0, amplitudes))
     raise UsageError(f"malformed --init {text!r}; use delta:SITE[:left|right] or bound:0|pi")
 
 
@@ -335,17 +333,17 @@ def cmd_evolve(args) -> None:
     state = _initial_state(args, profile)
     every = args.snapshot_every or max(1, args.steps // 10)
     snapshots = sorted(set([0] + list(range(every, args.steps, every)) + [args.steps]))
-    rows = []
+    probs = []
     previous_t = 0
-    length = profile.length
     for t in snapshots:
         state = evolve(state, profile, t - previous_t)
         previous_t = t
-        prob = position_distribution(state).tolist()
-        rows.extend(zip(itertools.repeat(t, length), range(length), prob))
+        probs.append(position_distribution(state))
+    times = np.repeat(snapshots, profile.length)
+    data = (times, np.tile(np.arange(profile.length), len(snapshots)), np.concatenate(probs))
     extras = {"final_norm": float(np.linalg.norm(state.amplitudes) ** 2)}
     params = {**_params(args), "snapshot_every": every}
-    _emit(args, args.command, params, ("t", "site", "prob"), rows, extras)
+    _emit(args, args.command, params, ("t", "site", "prob"), data, extras)
 
 
 def cmd_diagonalize(args) -> None:
@@ -361,13 +359,13 @@ def cmd_diagonalize(args) -> None:
     flags[near_pi] = "pi"
     flags[near_zero] = "0"
     columns = ("index", "quasi_energy", "ipr", "localized_near")
-    rows = list(zip(range(result.count), result.quasi_energies.tolist(), result.ipr.tolist(), flags))
+    data = (np.arange(result.count), result.quasi_energies, result.ipr, flags)
     extras = {
         "localized_near_zero": len(near_zero),
         "localized_near_pi": len(near_pi),
         "ipr_threshold": args.ipr_threshold if args.ipr_threshold is not None else 4.0 / profile.length,
     }
-    _emit(args, args.command, _params(args), columns, rows, extras)
+    _emit(args, args.command, _params(args), columns, data, extras)
 
 
 def _add_common(parser) -> None:
@@ -425,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="time evolution with snapshot probability profiles")
     _add_profile_flags(p)
-    p.add_argument("--init", default="delta:0", help="delta:SITE[:left|right] or bound:0|pi")
+    p.add_argument("--init", default="delta:0", help="delta:SITE[:left|right] (SITE < n-sites) or bound:0|pi")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--snapshot-every", type=int, default=0, help="0 picks steps//10")
     _add_common(p)

@@ -12,8 +12,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from coinwalk import cli, spectral
+from coinwalk import cli, lattice, spectral
+from coinwalk.boundstates import single_boundary_mode
 from coinwalk.cli import main
+from coinwalk.lattice import evolve, position_distribution
 
 REFERENCE_TABLE = {
     "1/3": [2.13e-2, 5.69e-3, 1.52e-3, 4.08e-4, 1.09e-4,
@@ -268,6 +270,56 @@ class TestEvolveCommand:
         )
 
 
+class TestEvolveInit:
+    @pytest.mark.parametrize(
+        "init",
+        ["delta:3:left:junk", "delta:3::", "delta:99", "delta:8", "delta:-1", "delta:", "delta:x", "delta:3:up"],
+    )
+    def test_malformed_delta_is_usage_error(self, capsys, init):
+        argv = ["evolve", "--kind", "uniform", "--theta1", "0.25", "--n-sites", "8", "--init", init]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("init,index", [("delta:7", 14), ("delta:0:right", 1), ("delta:7:right", 15)])
+    def test_delta_sites_of_the_ring(self, init, index):
+        args = argparse.Namespace(init=init)
+        state = cli._initial_state(args, lattice.build_profile("uniform", 8, 0.25 * np.pi))
+        assert state.amplitudes[index] == 1.0
+
+    def test_help_states_site_range(self, capsys):
+        assert main(["evolve", "--help"]) == 0
+        assert "(SITE < n-sites)" in " ".join(capsys.readouterr().out.split())
+
+    def test_bound_start_tail_cut(self):
+        # a benchmark-shaped boundary mode whose far tail decays into subnormals
+        theta1, theta2, length = -0.297474 * np.pi, 0.892280 * np.pi, 4096
+        args = argparse.Namespace(
+            init="bound:0", kind="single", theta1=theta1, theta2=theta2,
+            n_sites=length, wire_length=None, offset=None,
+        )
+        profile = cli._profile_from_args(args)
+        mode = single_boundary_mode(theta1, theta2, 0.0, length).wavefunction
+        start = cli._initial_state(args, profile)
+        cut = start.amplitudes != mode.amplitudes
+        assert np.abs(mode.amplitudes[cut]).min() < np.finfo(float).tiny
+        assert np.all(start.amplitudes[cut] == 0)
+        kept = start.amplitudes[start.amplitudes != 0]
+        assert np.abs(mode.amplitudes[cut]).max() < cli._TAIL_CUT <= np.abs(kept).min()
+        moved = np.linalg.norm(mode.amplitudes - start.amplitudes)
+        assert moved <= np.sqrt(2 * length) * cli._TAIL_CUT
+        assert np.linalg.norm(start.amplitudes) == np.linalg.norm(mode.amplitudes)
+        # Rounding can carry the change up to the last bit of larger amplitudes
+        # (here probs near 1e-266 at t = 2000), far below stepping's own error.
+        for steps in (1, 400, 2000):
+            np.testing.assert_allclose(
+                position_distribution(evolve(start, profile, steps)),
+                position_distribution(evolve(mode, profile, steps)),
+                rtol=1e-13, atol=1e-300,
+            )
+
+
 class TestDiagonalizeCommand:
     def test_symmetric_block_flags_two_pairs(self, capsys):
         code, payload = run_json(
@@ -485,15 +537,20 @@ class TestEmitterParity:
         calls = []
         emit = cli._emit
 
-        def record(args, command, params, columns, rows, extras=None):
-            calls.append((args, command, params, columns, list(rows), extras))
-            emit(args, command, params, columns, rows, extras)
+        def record(args, command, params, columns, data, extras=None):
+            calls.append((args, command, params, columns, data, extras))
+            emit(args, command, params, columns, data, extras)
 
         monkeypatch.setattr(cli, "_emit", record)
         return calls
 
     @staticmethod
-    def reference(args, command, params, columns, rows, extras):
+    def rows(data):
+        """Row tuples of column data; array cells are their ``tolist()`` values."""
+        return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in data)))
+
+    @classmethod
+    def reference(cls, args, command, params, columns, data, extras):
         payload = {
             "schema_version": cli.SCHEMA_VERSION,
             "meta": {
@@ -502,7 +559,7 @@ class TestEmitterParity:
                 "generated_at": "2020-01-02T03:04:05+00:00",
                 "params": params,
             },
-            "data": [dict(zip(columns, row)) for row in rows],
+            "data": [dict(zip(columns, row)) for row in cls.rows(data)],
             "extras": extras or {},
         }
         return json.dumps(payload, indent=2) + "\n"
@@ -532,22 +589,70 @@ class TestEmitterParity:
         assert capsys.readouterr().out == self.reference(*call)
 
     @pytest.mark.parametrize(
-        "columns,rows",
+        "columns,data",
         [
-            (("x", "y"), [(0.5 * i, -1.25e-300) for i in range(5)] + [(float("nan"), 2.0)]),
-            (("x", "y"), [(1.5, 0.1), (float("inf"), 0.2), (2.5, 0.3)]),
-            (("x", "y"), [(1.5, 0.1), (2.5, -float("inf")), (3.5, 0.3)]),
-            (("n", "m"), [(i, 10**20 - i) for i in range(5)] + [(True, 3)]),
-            (("n", "m"), [(0, False), (1, 7), (2, 8)]),
-            (("x", "y"), [(0.25 * i, 1.0) for i in range(5)] + [(np.float64(0.1), 3.0)]),
-            (("n", "m"), [(i, -i) for i in range(5)] + [(None, 9)]),
-            (("t", "x", "t", "y"), [(i, 0.5 * i, 2 * i + 1, f"r{i}") for i in range(4)]),
+            (("x", "y"), [[0.0, 0.5, 1.0, 1.5, 2.0, float("nan")], [-1.25e-300] * 5 + [2.0]]),
+            (("x", "y"), [(1.5, float("inf"), 2.5), (0.1, 0.2, 0.3)]),
+            (("x", "y"), [(1.5, 2.5, 3.5), (0.1, -float("inf"), 0.3)]),
+            (("n", "m"), [[0, 1, 2, 3, 4, True], [10**20 - i for i in range(5)] + [3]]),
+            (("n", "m"), [[0, 1, 2], [False, 7, 8]]),
+            (("x", "y"), [[0.0, 0.25, 0.5, np.float64(0.1)], [1.0, 1.0, 1.0, 3.0]]),
+            (("n", "m"), [[0, 1, 2, None], [0, -1, -2, 9]]),
+            (("t", "x", "t", "y"), [range(4), [0.0, 0.5, 1.0, 1.5], [1, 3, 5, 7], ["r0", "r1", "r2", "r3"]]),
+            (
+                ("x", "y"),
+                [
+                    np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -0.0]),
+                    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -0.0],
+                ],
+            ),
+            (
+                ("n", "x", "m"),
+                [
+                    np.array([5, -2, 5, 0, 2**62, -(2**63), 7], dtype=np.int64),
+                    np.array([0.1, -0.0, 1e300, 0.0, np.pi, -5e-324, 0.1]),
+                    np.arange(7, dtype=np.int32) * 3,
+                ],
+            ),
+            (("x", "y"), [np.array([0.5, np.nan, -0.0]), np.array([-np.inf, 1.0, 0.0])]),
+            (("n", "b"), [[0, 1, True, 2, False], np.array([True, False, True, True, False])]),
+            (("x",), [[0.5, None, -0.0, 1e-310, 0.0]]),
         ],
-        ids=["nan", "inf", "-inf", "bool-true", "bool-false", "np-float64", "none", "repeated-key"],
+        ids=[
+            "nan", "inf", "-inf", "bool-true", "bool-false", "np-float64", "none",
+            "repeated-key", "zeros-subnormals", "np-int64-float64", "np-nonfinite",
+            "int-with-bool", "float-with-none",
+        ],
     )
-    def test_column_encoder(self, columns, rows):
-        want = json.dumps({"data": [dict(zip(columns, row)) for row in rows]}, indent=2)
-        assert '{\n  "data": [\n' + cli._json_rows(columns, rows) + "\n  ]\n}" == want
+    def test_column_encoder(self, columns, data):
+        want = json.dumps({"data": [dict(zip(columns, row)) for row in self.rows(data)]}, indent=2)
+        assert '{\n  "data": [\n' + cli._json_rows(columns, data) + "\n  ]\n}" == want
+
+    @pytest.mark.parametrize(
+        "init,layout",
+        [
+            ("delta:1234:right", ["--kind", "uniform", "--theta1", "0.3"]),
+            ("bound:0", ["--kind", "single", "--theta1", "-0.3", "--theta2", "0.35"]),
+        ],
+        ids=["delta", "bound"],
+    )
+    def test_benchmark_shaped_evolve(self, capsys, recorded, init, layout):
+        # the benchmark's ring and 11 snapshots, with few steps
+        argv = ["evolve", *layout, "--n-sites", "4096", "--steps", "20", "--init", init]
+        assert main(argv) == 0
+        (call,) = recorded
+        assert len(call[4][0]) == 11 * 4096
+        assert capsys.readouterr().out == self.reference(*call)
+
+    def test_empty_table(self, capsys, recorded):
+        columns = ("x", "n")
+        args = argparse.Namespace(format="json", output=None)
+        cli._emit(args, "probe", {}, columns, ([], np.array([], dtype=np.int64)), {"k": 1})
+        out = capsys.readouterr().out
+        assert out == self.reference(*recorded[0])
+        assert json.loads(out)["data"] == []
+        cli._emit(argparse.Namespace(format="csv", output=None), "probe", {}, columns, ([], ()))
+        assert capsys.readouterr().out.endswith("\n# generated_at=2020-01-02T03:04:05+00:00\nx,n\n")
 
     def test_special_values_and_csv(self, capsys, recorded):
         columns = ("x", 'k"%s\u00e9', "flag", "name", "x")
@@ -556,13 +661,14 @@ class TestEmitterParity:
             (-float("inf"), -0.0, False, None, 2.5e-300),
             (np.float64(0.1), 10**20, None, "", -7),
         ]
+        data = list(zip(*rows))
         args = argparse.Namespace(format="json", output=None)
-        cli._emit(args, "probe", {"\u00e9": [1, None]}, columns, rows, {"note": "\u2603"})
+        cli._emit(args, "probe", {"\u00e9": [1, None]}, columns, data, {"note": "\u2603"})
         assert capsys.readouterr().out == self.reference(*recorded[0])
 
         csv_args = argparse.Namespace(format="csv", output=None)
         params = {"a": 1, "b": None, "c": np.float64(0.25)}
-        cli._emit(csv_args, "probe", params, columns, rows, {"e": [None]})
+        cli._emit(csv_args, "probe", params, columns, data, {"e": [None]})
         assert capsys.readouterr().out == (
             "# schema_version=2\n# command=probe\n"
             f"# version={cli.__version__}\n"
