@@ -10,13 +10,13 @@ arithmetic, with numpy alone:
    entries.  Reflecting coins cut the ring into independent blocks, so the
    flat band at E = +/- pi/2 of a reflecting exterior becomes many 2 x 2
    blocks instead of one large degenerate cluster.
-2. Each component's symmetric part (U + U^T)/2 is diagonalized,
-   components of one size in one batched call; its eigenvalues are cos E.
-   When U's nonzero entries all join sites of opposite parity and every
-   component holds as many even-site rows as odd-site rows, as on an even
-   ring, that part is [[0, B], [B^T, 0]] and the batch is one
-   ``np.linalg.svd`` of the half-size even-odd blocks B; otherwise it is
-   one ``np.linalg.eigh`` of the whole components.
+2. Each component's symmetric part (U + U^T)/2 is diagonalized by
+   ``np.linalg.eigh``, components of one size in one batched call; its
+   eigenvalues are cos E.  On an even ring, where U's nonzero entries all
+   join sites of opposite parity, U^2 splits over the two sublattices:
+   steps 1-4 then act on its even-site block M = U_eo U_oe, half the size
+   of U, with eigenvalues exp(-2iE), and each eigenpair of M gives two
+   eigenpairs of U, at E and E + pi.
 3. Eigenvalues of equal cos E (gap below ``_CLUSTER_GAP``) form a
    cluster spanning an invariant subspace of U; a generic +/-E pair is a
    cluster of two.  Clusters of equal size are resolved together by a
@@ -48,7 +48,8 @@ from .boundstates import BoundStateSolution
 SIZE_CAP = 512
 
 # Eigenvector error of eigh across a cluster boundary is ~ eps ||U|| / gap,
-# which this gap keeps near 2e-12, well below the residual guard.
+# which this gap keeps near 2e-12, well below the residual guard.  On an
+# even ring the gap applies to the eigenvalues cos 2E of U^2's block.
 _CLUSTER_GAP = 1e-4
 _RESIDUAL_GUARD = 1e-10
 
@@ -138,25 +139,13 @@ def _block_eigh(
 
     U is given by its entries U[i, cols[i, j]] = vals[i, j]; taken in the
     order ``members``, its rows and columns form diagonal blocks of the
-    sizes listed in ``sizes``, equal sizes adjacent.  Returns the
-    eigenvalues, sorted within each block, and the eigenvectors as rows
-    (zero outside their block) in the original order.
-
-    Row i lies on site i // 2.  If every nonzero entry joins rows on sites
-    of opposite parity and each block has as many even-site rows as
-    odd-site rows, as on an even ring, a block taken even rows first is
-    [[0, B], [B^T, 0]]; for the SVD B = u diag(s) v^T its eigenvalues are
-    -s and s with eigenvectors (u; -v)/sqrt(2) and (u; v)/sqrt(2).  Other
-    matrices take ``np.linalg.eigh`` of the whole block.
+    sizes listed in ``sizes``, equal sizes adjacent.  Entries of one row
+    that share a column are summed.  Each run of equal blocks takes one
+    batched ``np.linalg.eigh``.  Returns the eigenvalues, sorted within
+    each block, and the eigenvectors as rows (zero outside their block) in
+    the original order.
     """
     size = len(cols)
-    odd = np.arange(size) // 2 % 2
-    block_of = np.repeat(np.arange(len(sizes)), sizes)
-    split = not np.any((odd[cols] == odd[:, None]) & (vals != 0)) and np.array_equal(
-        2 * np.bincount(block_of, weights=odd[members]), sizes
-    )
-    if split:
-        members = members[np.lexsort((odd[members], block_of))]
     place = np.argsort(members)
     cols, vals = place[cols[members]], vals[members]
     values, basis = np.empty(size), np.zeros((size, size))
@@ -169,30 +158,13 @@ def _block_eigh(
         entry = vals[top:end][linked]
         run = basis[top:end, top:end].reshape(count, block, count, block)
         vectors = np.einsum("iaib->iab", run)
-        if split:
-            half = block // 2
-            at, row, col = row // block, row % block, col % block
-            lead = row < half  # entries of the even rows; the odd rows' enter as B^T
-            stack = np.zeros((count, half, half))
-            stack[at[lead], row[lead], col[lead] - half] = entry[lead]
-            stack[at[~lead], col[~lead], row[~lead] - half] += entry[~lead]
-            stack *= 0.5
-            u, s, vt = np.linalg.svd(stack)
-            del stack
-            values[top:end] = np.concatenate([-s, s[:, ::-1]], axis=1).ravel()
-            vectors[:, :half, :half] = u
-            vectors[:, :half, half:] = u[:, :, ::-1]
-            vectors[:, half:, :half] = -vt.transpose(0, 2, 1)
-            vectors[:, half:, half:] = vt[:, ::-1].transpose(0, 2, 1)
-            vectors *= np.sqrt(0.5)
-        else:
-            stack = np.zeros((count, block, block))
-            stack[row // block, row % block, col % block] = entry
-            stack[row // block, col % block, row % block] += entry
-            stack *= 0.5
-            eigenvalues, vectors[...] = np.linalg.eigh(stack)
-            del stack
-            values[top:end] = eigenvalues.ravel()
+        stack = np.zeros((count, block, block))
+        np.add.at(stack, (row // block, row % block, col % block), entry)
+        np.add.at(stack, (row // block, col % block, row % block), entry)
+        stack *= 0.5
+        eigenvalues, vectors[...] = np.linalg.eigh(stack)
+        del stack
+        values[top:end] = eigenvalues.ravel()
         top = end
     return values, basis[place].T
 
@@ -235,12 +207,30 @@ def _resolve_clusters(cols, vals, q, cos_e):
     return np.arctan2(-im, re), coeffs
 
 
-def _eig_orthogonal(cols: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigen-decomposition of a real orthogonal matrix, sorted by quasi-energy.
+def _two_step(cols: np.ndarray, vals: np.ndarray):
+    """Entries of M = U_eo U_oe and of U_oe, for a U that joins only sites of opposite parity.
 
-    The matrix is given by its entries U[i, cols[i, j]] = vals[i, j].
-    Returns E = -arg(lambda) in (-pi, pi], the unit eigenvectors as columns
-    and the largest eigen-residual ||Uv - lambda v||.
+    U is given by its entries U[i, cols[i, j]] = vals[i, j]; row i lies on
+    site i // 2, and U_eo, U_oe are its blocks from odd-site rows to
+    even-site rows and back.  Each sublattice's rows are numbered in order,
+    row i as (i // 4) * 2 + i % 2.  Returns M's index arrays, four entries
+    per row (two share a column on a 2-site ring), then U_oe's.
+    """
+    rows = np.arange(len(cols))
+    index = rows // 4 * 2 + rows % 2
+    even, odd = rows[rows // 2 % 2 == 0], rows[rows // 2 % 2 == 1]
+    via = cols[even]
+    two_cols = index[cols[via]].reshape(len(even), -1)
+    two_vals = (vals[even][:, :, None] * vals[via]).reshape(len(even), -1)
+    return two_cols, two_vals, index[cols[odd]], vals[odd]
+
+
+def _eigenpairs(cols: np.ndarray, vals: np.ndarray):
+    """Unsorted eigenpairs of a real orthogonal matrix, U[i, cols[i, j]] = vals[i, j].
+
+    Returns E = -arg(lambda), one per row, and the solved clusters as a
+    list of (span, q, coeffs): the eigenvector of E[span[k, i]] is
+    sum_j coeffs[k, j, i] q[k, j].
     """
     labels = _components(cols, vals)
     sizes = np.bincount(labels)
@@ -269,8 +259,31 @@ def _eig_orthogonal(cols: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.
     for span, q in batches:
         energies[span], coeffs = _resolve_clusters(cols, vals, q, cos_e[span])
         solved.append((span, q, coeffs))
-    del batches
+    return energies, solved
 
+
+def _eig_orthogonal(cols: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigen-decomposition of a real orthogonal matrix, sorted by quasi-energy.
+
+    The matrix is given by its entries U[i, cols[i, j]] = vals[i, j].
+    Returns E = -arg(lambda) in (-pi, pi], the unit eigenvectors as columns
+    and the largest eigen-residual ||Uv - lambda v||.
+
+    Row i lies on site i // 2.  When every nonzero entry joins sites of
+    opposite parity, as on an even ring, U^2 is block-diagonal over the two
+    sublattices, and U is solved through its even-site block M = U_eo U_oe.
+    An eigenpair M x = e^{-i phi} x gives the two eigenpairs E = phi/2 and
+    phi/2 + pi of U, with vectors (x; +/- e^{i phi/2} U_oe x)/sqrt(2).
+    """
+    size = len(cols)
+    parity = np.arange(size) // 2 % 2
+    bipartite = not np.any((parity[cols] == parity[:, None]) & (vals != 0))
+    if bipartite:
+        two_cols, two_vals, oe_cols, oe_vals = _two_step(cols, vals)
+        phi, solved = _eigenpairs(two_cols, two_vals)
+        energies = np.concatenate([phi / 2, phi / 2 + np.where(phi > 0, -np.pi, np.pi)])
+    else:
+        energies, solved = _eigenpairs(cols, vals)
     energies[energies == -np.pi] = np.pi
     order = np.argsort(energies)
     energies = energies[order]
@@ -281,10 +294,24 @@ def _eig_orthogonal(cols: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.
     rows = np.empty((size, size), dtype=complex)
     for span, q, coeffs in solved:
         for top in range(0, span.shape[1], 256):
-            slots = position[span[:, top : top + 256].ravel()]
-            for part, out in ((coeffs.real, rows.real), (coeffs.imag, rows.imag)):
+            slots = span[:, top : top + 256].ravel()
+            # U's own vectors go straight to their rows; M's are lifted below.
+            x = np.empty((slots.size, q.shape[2]), dtype=complex) if bipartite else rows
+            at = slice(None) if bipartite else position[slots]
+            for part, out in ((coeffs.real, x.real), (coeffs.imag, x.imag)):
                 block = np.ascontiguousarray(part[:, :, top : top + 256].transpose(0, 2, 1))
-                out[slots] = (block @ q).reshape(-1, size)
+                out[at] = (block @ q).reshape(-1, q.shape[2])
+            if not bipartite:
+                continue
+            y = _apply(oe_cols, oe_vals, x)
+            y *= np.sqrt(0.5) * np.exp(0.5j * phi[slots])[:, None]
+            x *= np.sqrt(0.5)
+            x, y = x.reshape(len(slots), -1, 2), y.reshape(len(slots), -1, 2)
+            sites = rows.reshape(size, -1, 2, 2)  # (vector, site pair, parity, component)
+            low, high = position[slots], position[slots + size // 2]
+            sites[low, :, 0] = sites[high, :, 0] = x
+            sites[low, :, 1] = y
+            sites[high, :, 1] = -y
     del solved, q, coeffs
 
     # A few rows at a time, the residual is taken through the action of U.

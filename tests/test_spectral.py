@@ -188,6 +188,7 @@ def assert_matches_dense_eig(profile):
     assert np.allclose(result.ipr[isolated], reference.ipr[partner[isolated]], atol=1e-8)
     for target in (0.0, np.pi):
         assert find_bound_states(result, target).count == find_bound_states(reference, target).count
+    assert np.all((result.quasi_energies > -np.pi) & (result.quasi_energies <= np.pi))
 
 
 @pytest.mark.parametrize("length", [64, 65, 128])
@@ -208,12 +209,28 @@ def test_diagonalize_matches_dense_eig(kind, theta2, length):
         build_profile("uniform", 128, 0.499 * np.pi),
         build_profile("symmetric", 128, 0.501 * np.pi, -0.475 * np.pi, wire_length=5),
         build_profile("symmetric", 129, 0.501 * np.pi, -0.475 * np.pi, wire_length=5),
+        build_profile("symmetric", 256, 0.501 * np.pi, -0.475 * np.pi, wire_length=5),
     ],
-    ids=["uniform", "symmetric", "symmetric-odd"],
+    ids=["uniform", "symmetric", "symmetric-odd", "symmetric-256"],
 )
 def test_near_reflecting_coins_match_dense_eig(profile):
     # coins close to +/- pi/2 give a narrow band that the cluster gap merges
     # into clusters of tens to hundreds of members
+    assert_matches_dense_eig(profile)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        build_profile("uniform", length, theta)
+        for length in (2, 4, 64)
+        for theta in (0.0, np.pi, np.pi / 2, -np.pi / 2, 0.3 * np.pi, -0.7 * np.pi)
+    ]
+    + [CoinProfile(np.random.default_rng(length).uniform(-np.pi, np.pi, length)) for length in (2, 4)],
+)
+def test_small_and_degenerate_even_rings_match_dense_eig(profile):
+    # on 2 sites two entries of U^2 share a column; at sin theta = 0 U^2 has
+    # no same-site entries, and at cos theta = 0 every coin reflects
     assert_matches_dense_eig(profile)
 
 
@@ -254,9 +271,11 @@ def test_components_match_csgraph(profile):
     assert same_partition(labels, reference)
 
 
-def block_eigh(profile):
-    """``spectral._block_eigh`` on the component order that ``_eig_orthogonal`` uses."""
+def block_eigh(profile, two_step=False):
+    """``spectral._block_eigh`` of U, or of M = U_eo U_oe, in ``_eig_orthogonal``'s component order."""
     cols, vals = spectral._coin_shift(profile)
+    if two_step:
+        cols, vals = spectral._two_step(cols, vals)[:2]
     labels = spectral._components(cols, vals)
     sizes = np.bincount(labels)
     return spectral._block_eigh(cols, vals, np.lexsort((labels, sizes[labels])), np.sort(sizes))
@@ -272,19 +291,28 @@ def block_eigh(profile):
     + [build_profile("uniform", 48, theta) for theta in QUADRANT_THETA2 + (np.pi / 2, -np.pi / 2)]
     + list(_planted_zero_profiles((24, 56))),
 )
-def test_even_ring_split_matches_dense_eigh(profile, monkeypatch):
-    # an even ring's (U + U^T)/2 joins only sites of opposite parity, so every
-    # block, the 2-row blocks cut off by reflecting coins included, is solved
-    # by the SVD of its even-odd block and no eigh runs
+def test_even_ring_solves_two_step_operator(profile, monkeypatch):
+    # an even ring's U joins only sites of opposite parity, so U^2 splits over
+    # the sublattices and only the L x L even-site block M = U_eo U_oe is
+    # diagonalized: no eigh sees more than L rows, and no SVD runs
     mat = build_unitary(profile)
-    sym = (mat + mat.T) / 2
+    even = np.arange(len(mat)) // 2 % 2 == 0
+    two = mat[even][:, ~even] @ mat[~even][:, even]
+    sym = (two + two.T) / 2
     reference = np.linalg.eigvalsh(sym)
+    eigh = np.linalg.eigh
 
-    def no_eigh(stack):
-        raise AssertionError("eigh on an even ring")
+    def half_size_eigh(stack):
+        assert stack.shape[-1] <= profile.length
+        return eigh(stack)
 
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    values, rows = block_eigh(profile)
+    def no_svd(stack):
+        raise AssertionError("SVD on an even ring")
+
+    monkeypatch.setattr(np.linalg, "eigh", half_size_eigh)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    diagonalize(profile)
+    values, rows = block_eigh(profile, two_step=True)
     assert np.max(np.abs(np.sort(values) - reference)) <= 1e-13
     assert np.max(np.linalg.norm(sym @ rows.T - rows.T * values, axis=0)) <= 1e-13
     assert np.max(np.abs(rows @ rows.T - np.eye(len(values)))) <= 1e-13
