@@ -46,10 +46,11 @@ def pauli_vector(v) -> np.ndarray:
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
-def dispersion(theta: float, k: float) -> float:
-    """Positive-branch quasi-energy E = arccos(cos(theta) cos(k)) in [0, pi]."""
+def dispersion(theta: float, k):
+    """Positive-branch quasi-energy E = arccos(cos(theta) cos(k)) in [0, pi]; an array of k gives an array."""
     _check_angle(theta)
-    return float(np.arccos(np.clip(np.cos(theta) * np.cos(k), -1.0, 1.0)))
+    energy = np.arccos(np.clip(np.cos(theta) * np.cos(k), -1.0, 1.0))
+    return energy if np.ndim(energy) else float(energy)
 
 
 def eigenspinor_raw(theta: float, k: complex, energy: float) -> np.ndarray:
@@ -95,14 +96,13 @@ def bloch_unitary(theta: float, k: float) -> np.ndarray:
     return np.array([[c * ek, s * ek], [-s / ek, c / ek]], dtype=complex)
 
 
-def bloch_vector(theta: float, k: float) -> np.ndarray:
-    """Unit vector n(k) with H(k) = E(k) n(k).sigma.
+def bloch_vector(theta: float, k) -> np.ndarray:
+    """Unit vector n(k) with H(k) = E(k) n(k).sigma; an array of k gives shape (3, len(k)).
 
-    Raises ``GapClosedError`` when sin E vanishes at this momentum.
+    Raises ``GapClosedError`` when sin E vanishes at any of the momenta.
     """
-    energy = dispersion(theta, k)
-    sin_e = np.sin(energy)
-    if abs(sin_e) < GAP_TOL:
+    sin_e = np.sin(dispersion(theta, k))
+    if np.any(np.abs(sin_e) < GAP_TOL):
         raise GapClosedError("Bloch vector undefined where the gap closes (sin E = 0)")
     c, s = np.cos(theta), np.sin(theta)
     return -np.array([s * np.sin(k), s * np.cos(k), c * np.sin(k)]) / sin_e

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import io
 import json
 import math
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bulk import (
+    GAP_TOL,
     GapClosedError,
     bloch_vector,
     dispersion,
@@ -51,7 +53,7 @@ from .spectral import (
 )
 
 SCHEMA_VERSION = 2
-_NOT_PARAMS = ("command", "func", "format", "output")
+_NOT_PARAMS = ("command", "format", "output")
 # A bound start drops its far tail below this, which spares stepping the slow subnormal
 # arithmetic.  Stepping is orthogonal, so the exact walk moves by at most sqrt(2L) * 1e-200;
 # rounding can carry the change to the last bits of tiny probs (seen near 1e-266).
@@ -98,7 +100,10 @@ def _csv_field(value) -> str:
 
 
 def _json_column(values) -> list:
-    """One column's cells as ``json.dumps`` writes them; int and finite float arrays take fast paths."""
+    """One column's cells as ``json.dumps`` writes them.
+
+    Int arrays, finite float arrays and columns of None and str take fast paths.
+    """
     if isinstance(values, np.ndarray):
         if values.dtype.kind in "iu":  # format each distinct value once
             cells = values.tolist()
@@ -113,6 +118,9 @@ def _json_column(values) -> list:
                 texts[index] = text
             return texts
         values = values.tolist()
+    if set(map(type, values)) <= {str, type(None)}:  # flags and reasons: format each distinct value once
+        texts = {cell: json.dumps(cell) for cell in set(values)}
+        return [texts[cell] for cell in values]
     return [float.__repr__(c) if type(c) is float and math.isfinite(c) else json.dumps(c) for c in values]
 
 
@@ -196,15 +204,13 @@ def cmd_dispersion(args) -> None:
     if args.k_points < 2:
         raise UsageError("--k-points must be at least 2")
     ks = -np.pi + 2 * np.pi * (np.arange(args.k_points) + 0.5) / args.k_points
-    e_plus = np.array([dispersion(args.theta, k) for k in ks])
-    vectors = []
-    for k in ks:
-        try:
-            vectors.append(bloch_vector(args.theta, k).tolist())
-        except GapClosedError:
-            vectors.append((None, None, None))
+    e_plus = dispersion(args.theta, ks)
+    gapped = np.abs(np.sin(e_plus)) >= GAP_TOL  # the Bloch vector is null where the gap closes
+    vectors = np.zeros((3, ks.size))
+    vectors[:, gapped] = bloch_vector(args.theta, ks[gapped])
+    n_columns = [[n if ok else None for n, ok in zip(row, gapped.tolist())] for row in vectors.tolist()]
     columns = ("k", "E_plus", "E_minus", "n_x", "n_y", "n_z")
-    _emit(args, args.command, _params(args), columns, (ks, e_plus, -e_plus, *zip(*vectors)))
+    _emit(args, args.command, _params(args), columns, (ks, e_plus, -e_plus, *n_columns))
 
 
 def cmd_winding(args) -> None:
@@ -394,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_angle_in_pi_units, required=True, help="angle in units of pi")
     p.add_argument("--k-points", type=_positive_int, default=256)
     _add_common(p)
-    p.set_defaults(func=cmd_dispersion)
 
     p = sub.add_parser("winding", help="topological winding number over a theta sweep")
     p.add_argument("--theta-min", type=_angle_in_pi_units, required=True)
@@ -402,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive_int, default=1)
     p.add_argument("--grid-points", type=_positive_int, default=1024)
     _add_common(p)
-    p.set_defaults(func=cmd_winding)
 
     p = sub.add_parser("bound-single", help="closed-form mode at a single boundary")
     p.add_argument("--theta1", type=_angle_in_pi_units, required=True)
@@ -411,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-sites", type=_positive_int, default=64)
     p.add_argument("--offset", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_bound_single)
 
     p = sub.add_parser("wire-spectrum", help="bound-state energies of reflecting-end blocks")
     p.add_argument("--theta2-list", required=True, help="comma-separated angles in units of pi")
@@ -419,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--fit-min-n", type=int, default=5)
     _add_common(p)
-    p.set_defaults(func=cmd_wire_spectrum)
 
     p = sub.add_parser("evolve", help="time evolution with snapshot probability profiles")
     _add_profile_flags(p)
@@ -427,25 +429,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--snapshot-every", type=int, default=0, help="0 picks steps//10")
     _add_common(p)
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("diagonalize", help="full spectrum with localization flags")
     _add_profile_flags(p)
     p.add_argument("--ipr-threshold", type=float, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_diagonalize)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        args.func(args)
+        # looked up when called, so a replaced cmd_* function is the one that runs
+        globals()["cmd_" + args.command.replace("-", "_")](args)
     except (UsageError, ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 3

@@ -6,21 +6,31 @@ coin entries below machine epsilon (cos theta at theta = +/- pi/2) are
 stored as exact zeros.  Its eigenvalues exp(-iE) are found in real
 arithmetic, with numpy alone:
 
-1. U is split into the connected components of the graph of its nonzero
-   entries.  Reflecting coins cut the ring into independent blocks, so the
-   flat band at E = +/- pi/2 of a reflecting exterior becomes many 2 x 2
-   blocks instead of one large degenerate cluster.
-2. Each component's symmetric part (U + U^T)/2 is diagonalized by
-   ``np.linalg.eigh``, components of one size in one batched call; its
-   eigenvalues are cos E.  On an even ring, where U's nonzero entries all
-   join sites of opposite parity, U^2 splits over the two sublattices:
-   steps 1-4 then act on its even-site block M = U_eo U_oe, half the size
-   of U, with eigenvalues exp(-2iE), and each eigenpair of M gives two
+1. The matrices below are split into the connected components of the
+   graphs of their nonzero entries.  Reflecting coins cut the ring into
+   independent blocks, so the flat band at E = +/- pi/2 of a reflecting
+   exterior becomes many small blocks instead of one large degenerate
+   cluster.
+2. The symmetric part (U + U^T)/2, whose eigenvalues are cos E, is split
+   by the walk's chiral symmetry: the site-local reflection Gamma_n =
+   [[-sin, cos], [cos, sin]] of each coin satisfies Gamma U Gamma = U^T, so
+   in the frame of each site's two Gamma_n eigenvectors (the sectors) the
+   symmetric part has no entries between sectors.  Each sector's
+   periodic tridiagonal block is built from U's entries alone, and the
+   components of both are diagonalized by ``np.linalg.eigh``, components
+   of one size in one batched call; the eigenvectors are rotated back into
+   U's rows as they are written.  On an even ring, where U's nonzero
+   entries all join sites of opposite parity, U^2 splits over the two
+   sublattices: steps 1-4 then act on its even-site block M = U_eo U_oe,
+   half the size of U, with eigenvalues exp(-2iE) and Gamma_e M Gamma_e =
+   M^T for the even sites' reflections, and each eigenpair of M gives two
    eigenpairs of U, at E and E + pi.
 3. Eigenvalues of equal cos E (gap below ``_CLUSTER_GAP``) form a
    cluster spanning an invariant subspace of U; a generic +/-E pair is a
-   cluster of two.  Clusters of equal size are resolved together by a
-   batched small Hermitian ``eigh`` of U restricted to them.
+   cluster of two, one member from each sector, so cos E is sorted within
+   groups: U's components, joined over every site whose frame mixes them.
+   Clusters of equal size are resolved together by a batched small
+   Hermitian ``eigh`` of U restricted to them.
 4. E is read from the angle of the Rayleigh quotient v^H U v, which is
    accurate at E = 0 and pi where arccos(cos E) is not.
 
@@ -48,8 +58,9 @@ from .boundstates import BoundStateSolution
 SIZE_CAP = 512
 
 # Eigenvector error of eigh across a cluster boundary is ~ eps ||U|| / gap,
-# which this gap keeps near 2e-12, well below the residual guard.  On an
-# even ring the gap applies to the eigenvalues cos 2E of U^2's block.
+# which this gap keeps near 2e-12, well below the residual guard.  It applies
+# to the sector blocks' eigenvalues taken together, sorted within a group;
+# on an even ring these are the eigenvalues cos 2E of U^2's block.
 _CLUSTER_GAP = 1e-4
 _RESIDUAL_GUARD = 1e-10
 
@@ -132,23 +143,43 @@ def _components(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.unique(root, return_inverse=True)[1]
 
 
-def _block_eigh(
-    cols: np.ndarray, vals: np.ndarray, members: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of (U + U^T)/2 for U block-diagonal in the row order ``members``.
+def _chiral_frame(profile: CoinProfile) -> np.ndarray:
+    """Eigenvectors of every site's chiral reflection, shape (L, 2, 2).
 
-    U is given by its entries U[i, cols[i, j]] = vals[i, j]; taken in the
-    order ``members``, its rows and columns form diagonal blocks of the
+    The reflection Gamma_n = [[-sin, cos], [cos, sin]] of theta_n satisfies
+    Gamma U Gamma = U^T.  Column 0 of site n holds its +1 eigenvector
+    (cos b, sin b), column 1 its -1 eigenvector (-sin b, cos b), with
+    b = theta/2 + pi/4, taken by half-angle formulas from ``_coin_entries``
+    so that reflecting coins give exactly (0, 1) or (1, 0).
+    """
+    c, s = _coin_entries(profile)
+    low = s <= 0
+    cos_b, sin_b = np.sqrt((1 - s) / 2), np.sqrt((1 + s) / 2)
+    cos_b[~low] = c[~low] / (2 * sin_b[~low])
+    sin_b[low] = c[low] / (2 * cos_b[low])
+    return np.stack([np.stack([cos_b, -sin_b], axis=1), np.stack([sin_b, cos_b], axis=1)], axis=1)
+
+
+def _block_eigh(
+    cols: np.ndarray, vals: np.ndarray, members: np.ndarray, sizes: np.ndarray, frame: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of (X + X^T)/2 for the sector blocks X, written back in the frame's rows.
+
+    X is given by its entries X[i, cols[i, j]] = vals[i, j] on nodes
+    s * sites + p, sector s of site p of ``frame`` (sites, d, d); taken in
+    the order ``members``, its rows and columns form diagonal blocks of the
     sizes listed in ``sizes``, equal sizes adjacent.  Entries of one row
     that share a column are summed.  Each run of equal blocks takes one
     batched ``np.linalg.eigh``.  Returns the eigenvalues, sorted within
-    each block, and the eigenvectors as rows (zero outside their block) in
-    the original order.
+    each block, and the eigenvectors as rows over the frame's rows, row
+    p * d + c weighted by frame[p, c, s].
     """
     size = len(cols)
+    sites, d = frame.shape[:2]
+    weight = frame.reshape(size, d)
     place = np.argsort(members)
     cols, vals = place[cols[members]], vals[members]
-    values, basis = np.empty(size), np.zeros((size, size))
+    values, basis = np.empty(size), np.zeros((size, size))  # basis[row, eigenvalue]
     top = 0
     for block, count in zip(*np.unique(sizes, return_counts=True)):
         end = top + block * count
@@ -156,17 +187,21 @@ def _block_eigh(
         row = np.nonzero(linked)[0]
         col = cols[top:end][linked] - top
         entry = vals[top:end][linked]
-        run = basis[top:end, top:end].reshape(count, block, count, block)
-        vectors = np.einsum("iaib->iab", run)
         stack = np.zeros((count, block, block))
         np.add.at(stack, (row // block, row % block, col % block), entry)
         np.add.at(stack, (row // block, col % block, row % block), entry)
         stack *= 0.5
-        eigenvalues, vectors[...] = np.linalg.eigh(stack)
+        eigenvalues, vectors = np.linalg.eigh(stack)
         del stack
         values[top:end] = eigenvalues.ravel()
+        # node a of block k is written to the rows of its site, a contiguous run of eigenvalues each
+        sector, site = np.divmod(members[top:end].reshape(count, block), sites)
+        run = basis[:, top:end].reshape(size, count, block)
+        for part in range(d):
+            rows = site * d + part
+            run[rows, np.arange(count)[:, None]] = vectors * weight[rows, sector][:, :, None]
         top = end
-    return values, basis[place].T
+    return values, basis.T
 
 
 def _resolve_clusters(cols, vals, q, cos_e):
@@ -225,31 +260,64 @@ def _two_step(cols: np.ndarray, vals: np.ndarray):
     return two_cols, two_vals, index[cols[odd]], vals[odd]
 
 
-def _eigenpairs(cols: np.ndarray, vals: np.ndarray):
+def _sectors(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
+    """Entries of the sector blocks W_s^T U W_s, every sector s in one block-diagonal matrix.
+
+    Row i of U[i, cols[i, j]] = vals[i, j] lies on site i // d, component
+    i % d, of ``frame`` (sites, d, d), and w_s[i] = frame[i // d, i % d, s].
+    Entry (r, c, v) adds w_s[r] v w_s[c] at (site r, site c) of sector s,
+    node s * sites + site of the returned matrix; entries between sectors
+    are never formed.
+    """
+    sites, d = frame.shape[:2]
+    weight = frame.reshape(len(cols), d)
+    site_cols = (cols // d).reshape(sites, -1)
+    sector_vals = [weight[:, [sector]] * vals * weight[cols, sector] for sector in range(d)]
+    return (
+        np.concatenate([site_cols + sector * sites for sector in range(d)]),
+        np.concatenate([entries.reshape(sites, -1) for entries in sector_vals]),
+    )
+
+
+def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
     """Unsorted eigenpairs of a real orthogonal matrix, U[i, cols[i, j]] = vals[i, j].
 
-    Returns E = -arg(lambda), one per row, and the solved clusters as a
-    list of (span, q, coeffs): the eigenvector of E[span[k, i]] is
-    sum_j coeffs[k, j, i] q[k, j].
+    Row i lies on site i // d, component i % d, of ``frame`` (sites, d, d),
+    whose columns at every site are an orthonormal basis of sectors over
+    which (U + U^T)/2 is block-diagonal.  Each sector's block is built from
+    U's entries alone and solved on its own.  Returns E = -arg(lambda), one
+    per row, and the solved clusters as a list of (span, q, coeffs): the
+    eigenvector of E[span[k, i]] is sum_j coeffs[k, j, i] q[k, j].
     """
-    labels = _components(cols, vals)
+    sites, d = frame.shape[:2]
+    weight = frame.reshape(len(cols), d)
+    sector_cols, sector_vals = _sectors(cols, vals, frame)
+    labels = _components(sector_cols, sector_vals)
     sizes = np.bincount(labels)
-    # Eigenvalues are kept in a row order sorted by component size, then
+    # Eigenvalues are kept in a node order sorted by component size, then
     # component, where the components of one size are a run of equal
-    # diagonal blocks; the eigenvectors stay in the original row order.
+    # diagonal blocks; the eigenvectors are rows over U's rows.
     members = np.lexsort((labels, sizes[labels]))
-    cos_e, basis = _block_eigh(cols, vals, members, np.sort(sizes))
-    component = labels[members]
+    cos_e, basis = _block_eigh(sector_cols, sector_vals, members, np.sort(sizes), frame)
+    # A cluster pairs eigenvalues of different sectors, so cos E is sorted within
+    # groups: U's components joined with the rows of every site whose frame mixes them.
+    rows = np.arange(len(cols))
+    partner = rows - rows % d + (rows + 1) % d
+    mixed = (weight * weight[partner]).any(axis=1)
+    group = _components(np.column_stack([cols, partner]), np.column_stack([vals, mixed]))
+    sector, site = np.divmod(members, sites)
+    group = group[site * d + np.abs(frame).argmax(axis=1)[site, sector]]
+    order = np.lexsort((cos_e, group))
     size = cos_e.size
     starts = np.flatnonzero(
-        np.concatenate([[True], (np.diff(cos_e) > _CLUSTER_GAP) | (np.diff(component) != 0)])
+        np.concatenate([[True], (np.diff(cos_e[order]) > _CLUSTER_GAP) | (np.diff(group[order]) != 0)])
     )
     counts = np.diff(np.append(starts, size))
     # Clusters of one size are solved together; each batch takes a copy of
     # its basis vectors, so the basis is freed before the first solve.
     # (np.unique would import numpy.ma, at the cost of every process's first request.)
     spans = [
-        starts[counts == count][:, None] + np.arange(count)
+        order[starts[counts == count][:, None] + np.arange(count)]
         for count in np.flatnonzero(np.bincount(counts))
     ]
     batches = [(span, basis[span]) for span in spans]
@@ -262,28 +330,37 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray):
     return energies, solved
 
 
-def _eig_orthogonal(cols: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _eig_orthogonal(
+    cols: np.ndarray, vals: np.ndarray, frame: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigen-decomposition of a real orthogonal matrix, sorted by quasi-energy.
 
-    The matrix is given by its entries U[i, cols[i, j]] = vals[i, j].
-    Returns E = -arg(lambda) in (-pi, pi], the unit eigenvectors as columns
-    and the largest eigen-residual ||Uv - lambda v||.
+    The matrix is given by its entries U[i, cols[i, j]] = vals[i, j], and
+    ``frame`` holds every site's sector basis (see ``_eigenpairs``): the
+    chiral frame for U's two rows per site, or one sector of one row per
+    site, which splits nothing.  Returns E = -arg(lambda) in (-pi, pi], the
+    unit eigenvectors as columns and the largest eigen-residual
+    ||Uv - lambda v||.
 
     Row i lies on site i // 2.  When every nonzero entry joins sites of
     opposite parity, as on an even ring, U^2 is block-diagonal over the two
-    sublattices, and U is solved through its even-site block M = U_eo U_oe.
-    An eigenpair M x = e^{-i phi} x gives the two eigenpairs E = phi/2 and
-    phi/2 + pi of U, with vectors (x; +/- e^{i phi/2} U_oe x)/sqrt(2).
+    sublattices, and U is solved through its even-site block M = U_eo U_oe,
+    in the frame of the even sites.  An eigenpair M x = e^{-i phi} x gives
+    the two eigenpairs E = phi/2 and phi/2 + pi of U, with vectors
+    (x; +/- e^{i phi/2} U_oe x)/sqrt(2).
     """
     size = len(cols)
+    # The largest array is allocated before the solve's temporaries, so it can
+    # take memory that earlier work freed instead of growing the heap past them.
+    rows = np.empty((size, size), dtype=complex)
     parity = np.arange(size) // 2 % 2
     bipartite = not np.any((parity[cols] == parity[:, None]) & (vals != 0))
     if bipartite:
         two_cols, two_vals, oe_cols, oe_vals = _two_step(cols, vals)
-        phi, solved = _eigenpairs(two_cols, two_vals)
+        phi, solved = _eigenpairs(two_cols, two_vals, frame[::2])
         energies = np.concatenate([phi / 2, phi / 2 + np.where(phi > 0, -np.pi, np.pi)])
     else:
-        energies, solved = _eigenpairs(cols, vals)
+        energies, solved = _eigenpairs(cols, vals, frame)
     energies[energies == -np.pi] = np.pi
     order = np.argsort(energies)
     energies = energies[order]
@@ -291,7 +368,6 @@ def _eig_orthogonal(cols: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.
     position[order] = np.arange(size)
     # Eigenvectors are written as contiguous rows, straight into sorted
     # order; a large cluster is written a few hundred vectors at a time.
-    rows = np.empty((size, size), dtype=complex)
     for span, q, coeffs in solved:
         for top in range(0, span.shape[1], 256):
             slots = span[:, top : top + 256].ravel()
@@ -336,7 +412,7 @@ def diagonalize(profile: CoinProfile) -> SpectralResult:
     """
     if profile.length > SIZE_CAP:
         raise ValueError(f"ring size {profile.length} exceeds the dense-solver cap {SIZE_CAP}")
-    energies, vectors, _ = _eig_orthogonal(*_coin_shift(profile))
+    energies, vectors, _ = _eig_orthogonal(*_coin_shift(profile), _chiral_frame(profile))
     prob = np.square(vectors.real)
     prob += np.square(vectors.imag)
     site_prob = prob[0::2] + prob[1::2]
@@ -361,13 +437,15 @@ def find_bound_states(
 ) -> SpectralResult:
     """Localized eigenpairs nearest the target quasi-energy (0 or pi).
 
-    Keeps states with IPR above the threshold (default 4/L) and, among
-    those, the cluster at minimal circle distance from the target, so both
-    members of a split pair are returned.  No localized states is an empty
-    result, not an error.
+    Keeps states with IPR above the threshold (default 4/L) by more than a
+    few ulps, so a state at the threshold up to rounding (the two-site
+    states of an all-reflecting ring of 8 sites) is never kept, whatever its
+    last bits; among those, the cluster at minimal circle distance from the
+    target, so both members of a split pair are returned.  No localized
+    states is an empty result, not an error.
     """
     threshold = 4.0 / result.length if ipr_threshold is None else float(ipr_threshold)
-    localized = np.nonzero(result.ipr > threshold)[0]
+    localized = np.nonzero(result.ipr > threshold * (1 + 8 * np.finfo(float).eps))[0]
     if localized.size == 0:
         keep = localized
     else:

@@ -147,6 +147,15 @@ class TestBlochVector:
     def test_gap_closing_rejected(self):
         with pytest.raises(GapClosedError):
             bloch_vector(0.0, 0.0)
+        with pytest.raises(GapClosedError):
+            bloch_vector(0.0, np.array([0.3, 0.0]))
+
+    def test_array_of_momenta_matches_scalar_calls(self):
+        rng = np.random.default_rng(29)
+        for theta, _ in gapped_grid(rng, 8):
+            ks = rng.uniform(-np.pi, np.pi, 33)
+            assert np.array_equal(dispersion(theta, ks), [dispersion(theta, k) for k in ks])
+            assert np.array_equal(bloch_vector(theta, ks), np.transpose([bloch_vector(theta, k) for k in ks]))
 
     def test_band_symmetry_of_hamiltonian(self):
         rng = np.random.default_rng(28)

@@ -3,6 +3,7 @@ import datetime
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -521,6 +522,46 @@ class TestEntryPoint:
         assert done.stdout.strip() == "[0, 0, 0, 0, 0]", done.stderr
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process; each call must still behave like a fresh process."""
+
+    REQUESTS = [
+        ["winding", "--theta-min", "0.25", "--grid-points", "64"],
+        ["dispersion", "--theta", "0.3", "--k-points", "5", "--format", "csv"],
+        ["evolve", "--kind", "uniform", "--theta1", "0.3", "--n-sites", "8", "--steps", "3"],
+    ]
+
+    @staticmethod
+    def undated(text):
+        return re.sub(r".*generated_at.*\n", "", text)
+
+    def test_consecutive_calls_match_fresh_processes(self, capsys):
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "coinwalk", *argv], env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True, text=True, timeout=120, check=True,
+            ).stdout
+            for argv in self.REQUESTS
+        ]
+        for argv, want in zip(self.REQUESTS + self.REQUESTS[:1], fresh + fresh[:1]):
+            assert main(argv) == 0
+            assert self.undated(capsys.readouterr().out) == self.undated(want)
+            # a usage error in between leaves the next call as it was
+            assert main(["diagonalize", "--kind", "uniform", "--theta1", "0.3", "--bogus"]) == 2
+            assert main(["winding", "--theta-min", "0.25", "--steps", "2"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+
+    def test_replaced_command_runs(self, capsys, monkeypatch):
+        assert main(self.REQUESTS[0]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_winding", seen.append)
+        assert main(self.REQUESTS[0]) == 0
+        assert [args.command for args in seen] == ["winding"]
+        assert capsys.readouterr().out.count('"command": "winding"') == 1
+
+
 class TestEmitterParity:
     """JSON output byte for byte against the standard library encoder of the same payload."""
 
@@ -617,11 +658,18 @@ class TestEmitterParity:
             (("x", "y"), [np.array([0.5, np.nan, -0.0]), np.array([-np.inf, 1.0, 0.0])]),
             (("n", "b"), [[0, 1, True, 2, False], np.array([True, False, True, True, False])]),
             (("x",), [[0.5, None, -0.0, 1e-310, 0.0]]),
+            (
+                ("flag", "reason"),
+                [
+                    np.array([None, "0", "pi", None, "0", None], dtype=object),
+                    [None, "gap-closed", 'caf\u00e9 "\\ \u2603', "gap-closed", None, ""],
+                ],
+            ),
         ],
         ids=[
             "nan", "inf", "-inf", "bool-true", "bool-false", "np-float64", "none",
             "repeated-key", "zeros-subnormals", "np-int64-float64", "np-nonfinite",
-            "int-with-bool", "float-with-none",
+            "int-with-bool", "float-with-none", "none-and-str",
         ],
     )
     def test_column_encoder(self, columns, data):

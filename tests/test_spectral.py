@@ -226,11 +226,27 @@ def test_near_reflecting_coins_match_dense_eig(profile):
         for length in (2, 4, 64)
         for theta in (0.0, np.pi, np.pi / 2, -np.pi / 2, 0.3 * np.pi, -0.7 * np.pi)
     ]
+    + [build_profile("uniform", 8, theta) for theta in (np.pi / 2, -np.pi / 2)]
     + [CoinProfile(np.random.default_rng(length).uniform(-np.pi, np.pi, length)) for length in (2, 4)],
 )
 def test_small_and_degenerate_even_rings_match_dense_eig(profile):
     # on 2 sites two entries of U^2 share a column; at sin theta = 0 U^2 has
-    # no same-site entries, and at cos theta = 0 every coin reflects
+    # no same-site entries, and its two chains are separate components that
+    # every site's chiral frame mixes; at cos theta = 0 every coin reflects,
+    # and on 8 sites every state's IPR equals the threshold 4/L
+    assert_matches_dense_eig(profile)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        build_profile("uniform", length, theta)
+        for length in (3, 65)
+        for theta in (0.0, np.pi, np.pi / 2, -np.pi / 2)
+    ],
+)
+def test_degenerate_odd_rings_match_dense_eig(profile):
+    # an odd ring's U at sin theta = 0 is two separate chains that the chiral frame mixes
     assert_matches_dense_eig(profile)
 
 
@@ -271,14 +287,68 @@ def test_components_match_csgraph(profile):
     assert same_partition(labels, reference)
 
 
+def chiral_reflection(profile):
+    """Gamma = diag over sites of [[-sin, cos], [cos, sin]], from the coin angles."""
+    c, s = np.cos(profile.angles), np.sin(profile.angles)
+    blocks = np.stack([np.stack([-s, c], axis=1), np.stack([c, s], axis=1)], axis=1)
+    gamma = np.zeros((2 * profile.length,) * 2)
+    for site, block in enumerate(blocks):
+        gamma[2 * site : 2 * site + 2, 2 * site : 2 * site + 2] = block
+    return gamma
+
+
+CHIRAL_PROFILES = (
+    [
+        build_profile(kind, length, -np.sign(np.sin(theta2)) * LAYOUT_THETA1[kind], theta2, wire_length=6)
+        for kind in sorted(set(LAYOUT_THETA1) - {"uniform"})
+        for theta2 in QUADRANT_THETA2
+        for length in (32, 33)
+    ]
+    + [
+        build_profile("uniform", length, theta)
+        for theta in QUADRANT_THETA2 + (0.0, np.pi, np.pi / 2, -np.pi / 2)
+        for length in (2, 32, 33)
+    ]
+    + [build_profile("symmetric", 32, 0.501 * np.pi, -0.475 * np.pi, wire_length=5)]
+    + list(_planted_zero_profiles((24, 57)))
+)
+
+
+@pytest.mark.parametrize("profile", CHIRAL_PROFILES)
+def test_chiral_reflection_transposes_one_step(profile):
+    # Gamma U Gamma = U^T on every ring, and on even rings the even-site block
+    # of Gamma does the same to M = U_eo U_oe, the even-site block of U^2
+    mat, gamma = build_unitary(profile), chiral_reflection(profile)
+    assert np.max(np.abs(gamma @ mat @ gamma - mat.T)) <= 1e-15
+    if profile.length % 2 == 0:
+        even = np.arange(len(mat)) // 2 % 2 == 0
+        two = mat[even][:, ~even] @ mat[~even][:, even]
+        half = gamma[even][:, even]
+        assert np.max(np.abs(half @ two @ half - two.T)) <= 1e-15
+    # the frame's columns are Gamma_n's eigenvectors for +1 and -1, orthonormal
+    frame = spectral._chiral_frame(profile)
+    sites = np.arange(profile.length)
+    blocks = gamma.reshape(profile.length, 2, profile.length, 2)[sites, :, sites]
+    assert np.max(np.abs(blocks @ frame - frame * [1.0, -1.0])) <= 1e-15
+    assert np.max(np.abs(frame.transpose(0, 2, 1) @ frame - np.eye(2))) <= 1e-15
+
+
+def test_chiral_frame_of_reflecting_coins_is_exact():
+    frame = spectral._chiral_frame(CoinProfile(np.array([np.pi / 2, -np.pi / 2])))
+    assert np.array_equal(frame, [[[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
+
+
 def block_eigh(profile, two_step=False):
-    """``spectral._block_eigh`` of U, or of M = U_eo U_oe, in ``_eig_orthogonal``'s component order."""
+    """``spectral._block_eigh`` of the sectors of U, or of M = U_eo U_oe, in ``_eig_orthogonal``'s order."""
     cols, vals = spectral._coin_shift(profile)
+    frame = spectral._chiral_frame(profile)
     if two_step:
         cols, vals = spectral._two_step(cols, vals)[:2]
+        frame = frame[::2]
+    cols, vals = spectral._sectors(cols, vals, frame)
     labels = spectral._components(cols, vals)
     sizes = np.bincount(labels)
-    return spectral._block_eigh(cols, vals, np.lexsort((labels, sizes[labels])), np.sort(sizes))
+    return spectral._block_eigh(cols, vals, np.lexsort((labels, sizes[labels])), np.sort(sizes), frame)
 
 
 @pytest.mark.parametrize(
@@ -294,7 +364,8 @@ def block_eigh(profile, two_step=False):
 def test_even_ring_solves_two_step_operator(profile, monkeypatch):
     # an even ring's U joins only sites of opposite parity, so U^2 splits over
     # the sublattices and only the L x L even-site block M = U_eo U_oe is
-    # diagonalized: no eigh sees more than L rows, and no SVD runs
+    # diagonalized, split again into the two sectors of the chiral frame:
+    # no eigh sees more than L/2 rows, and no SVD runs
     mat = build_unitary(profile)
     even = np.arange(len(mat)) // 2 % 2 == 0
     two = mat[even][:, ~even] @ mat[~even][:, even]
@@ -303,7 +374,7 @@ def test_even_ring_solves_two_step_operator(profile, monkeypatch):
     eigh = np.linalg.eigh
 
     def half_size_eigh(stack):
-        assert stack.shape[-1] <= profile.length
+        assert stack.shape[-1] <= profile.length // 2
         return eigh(stack)
 
     def no_svd(stack):
@@ -323,11 +394,20 @@ def test_even_ring_solves_two_step_operator(profile, monkeypatch):
     [build_profile("single", 33, -0.5 * np.pi, 0.3 * np.pi), build_profile("uniform", 33, 0.3 * np.pi)],
 )
 def test_odd_ring_takes_eigh(profile, monkeypatch):
-    # the seam of an odd ring joins two even sites, so its blocks take eigh
+    # the seam of an odd ring joins two even sites, so U itself is solved,
+    # split into the two sectors of the chiral frame: no eigh sees more than L rows
+    eigh = np.linalg.eigh
+
+    def sector_eigh(stack):
+        assert stack.shape[-1] <= profile.length
+        return eigh(stack)
+
     def no_svd(stack):
         raise AssertionError("SVD on an odd ring")
 
+    monkeypatch.setattr(np.linalg, "eigh", sector_eigh)
     monkeypatch.setattr(np.linalg, "svd", no_svd)
+    diagonalize(profile)
     values, _ = block_eigh(profile)
     mat = build_unitary(profile)
     assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh((mat + mat.T) / 2))) <= 1e-13
@@ -354,7 +434,8 @@ def test_planted_spectrum_across_cluster_threshold():
     mat = frame @ rotation @ frame.T
 
     cols = np.broadcast_to(np.arange(size), mat.shape)
-    energies, vectors, residual = spectral._eig_orthogonal(cols, mat)
+    # a trivial frame, one sector of one row per site, splits nothing
+    energies, vectors, residual = spectral._eig_orthogonal(cols, mat, np.ones((size, 1, 1)))
     planted = np.concatenate([angles, -np.asarray(angles), [0.0, 0.0, np.pi]])
     assert match_energies(energies, planted)[1] < 1e-12
     assert np.all(np.diff(energies) >= 0)
