@@ -20,6 +20,12 @@ theta1 = +/- pi/2.
 With theta_3 = -theta_1 on one exterior instead (one net jump), the
 condition is satisfied identically at sin E = 0 and the E = 0, pi modes
 survive at any block length.
+
+Both materialized layouts follow one rule: in each uniform region the mode is
+a single evanescent Bloch tail weight * z^(n - anchor) * xi(theta, z) with real
+z = e^{ik}, and the weights match the tails where the regions meet.  The ring
+layout and its placement (``offset``, by default a quarter of the ring into it)
+come from ``lattice.build_profile`` and ``lattice.ring_coordinates``.
 """
 
 from __future__ import annotations
@@ -213,64 +219,50 @@ def splitting_decay_rate(theta2: float) -> float:
     return decay_constant(theta2, 0.0)
 
 
-# --- evanescent-momentum machinery for materialized modes ---------------------
+# --- evanescent tails of the materialized modes -------------------------------
 
 
-def _branch_sign(theta: float, energy: float) -> float:
-    """+1 for purely imaginary momentum, -1 for the pi-shifted class."""
-    return 1.0 if np.cos(energy) * np.cos(theta) > 0 else -1.0
+def _tail(theta: float, energy: float, decaying: bool) -> tuple[float, float, np.ndarray]:
+    """(z, kappa, xi) of theta's evanescent Bloch tail at E = 0 or pi.
 
-
-def _evanescent(theta: float, energy: float, decaying: bool) -> tuple[float, float]:
-    """Return (z, kappa) with real z = e^{ik}; |z| < 1 decays toward n = +infinity."""
-    kappa = _kappa_from_energy(theta, energy)
-    sign = _branch_sign(theta, energy)
-    z = sign * np.exp(-kappa if decaying else kappa)
-    return float(z), kappa
-
-
-def _spinor_at(theta: float, z: float) -> np.ndarray:
-    """Real xi with ``bulk.eigenspinor_raw`` = i xi at sin E = 0 and e^{ik} = z.
-
-    There sin k = i (1/z - z) / 2, so the raw spinor (i sin(t) z, cos(t) sin k)
+    z = e^{ik} is real: e^{-kappa} decays toward n = +infinity, e^{kappa} grows,
+    and z is negative for the pi-shifted class k = pi + i kappa, where cos E and
+    cos theta differ in sign.  xi is real with ``bulk.eigenspinor_raw`` = i xi:
+    there sin k = i (1/z - z) / 2, so the raw spinor (i sin(t) z, cos(t) sin k)
     is i (sin(t) z, cos(t) (1/z - z) / 2); built in real arithmetic, it carries
     none of the rounding noise of a complex log and exp at k = pi + i kappa.
     """
-    return np.array([np.sin(theta) * z, np.cos(theta) * (1 / z - z) / 2])
+    kappa = _kappa_from_energy(theta, energy)
+    sign = 1.0 if np.cos(energy) * np.cos(theta) > 0 else -1.0
+    z = float(sign * np.exp(-kappa if decaying else kappa))
+    return z, kappa, np.array([np.sin(theta) * z, np.cos(theta) * (1 / z - z) / 2])
 
 
-def _site_of(coordinate: int, length: int, offset: int) -> int:
-    return (offset + coordinate) % length
+def _mode_from_tails(profile: CoinProfile, offset, regions, **fields) -> BoundStateSolution:
+    """Materialize weight * z^(n - anchor) * xi on each region first <= n <= last, normalized once.
 
-
-def _seam_sites(coords: np.ndarray, length: int, offset: int) -> tuple[int, int]:
-    return (
-        _site_of(int(coords.max()), length, offset),
-        _site_of(int(coords.min()), length, offset),
-    )
-
-
-def _materialize(
-    coords: np.ndarray, pieces, length: int, offset: int
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Evaluate region amplitude rules over the ring and enforce tiny seam tails.
-
-    Each rule maps an array of layout coordinates to their (count, 2) spinors.
+    ``regions`` holds (first, last, anchor, weight, z, xi) per uniform region of
+    the layout placed at ``offset``.  The seam joins the sites of the largest and
+    smallest coordinate; the mode must decay there below ``_TAIL_CEILING`` of its peak.
     """
-    amp = np.zeros((length, 2))
-    for mask, rule in pieces:
-        amp[mask] = rule(coords[mask])
-    seam = _seam_sites(coords, length, offset)
+    coords = ring_coordinates(profile.length, offset, centered=True)
+    amp = np.zeros((profile.length, 2))
+    for first, last, anchor, weight, z, xi in regions:
+        mask = (coords >= first) & (coords <= last)
+        amp[mask] = (weight * z ** (coords[mask] - anchor))[:, None] * xi
+    seam = (int(np.argmax(coords)), int(np.argmin(coords)))
     peak = np.max(np.abs(amp))
     if peak == 0:
         raise ValueError("mode construction produced the zero vector")
-    seam_mag = float(np.max(np.abs(amp[list(seam)])))
-    if seam_mag / peak > _TAIL_CEILING:
+    if np.max(np.abs(amp[list(seam)])) / peak > _TAIL_CEILING:
         raise ValueError(
             "ring too small: mode tails do not decay below "
             f"{_TAIL_CEILING} before the layout seam"
         )
-    return amp, seam
+    amp = amp / np.linalg.norm(amp)
+    return BoundStateSolution(
+        wavefunction=WalkerState.from_amplitudes(amp.reshape(-1)), profile=profile, seam=seam, **fields
+    )
 
 
 def single_boundary_mode(
@@ -292,35 +284,17 @@ def single_boundary_mode(
     """
     energy = _energy_family(energy)
     _require_boundary_modes(theta1, theta2)
-    length = int(length)
-    offset = length // 4 if offset is None else int(offset) % length
-
-    z1, kappa1 = _evanescent(theta1, energy, decaying=False)
-    z2, kappa2 = _evanescent(theta2, energy, decaying=True)
-    xi1 = _spinor_at(theta1, z1)
-    xi2 = _spinor_at(theta2, z2)
+    profile = build_profile("single", length, theta1, theta2, offset=offset)
+    z1, kappa1, xi1 = _tail(theta1, energy, decaying=False)
+    z2, kappa2, xi2 = _tail(theta2, energy, decaying=True)
     # Left-component matching at n = 0 fixes (r, t) = i (xi2[0], xi1[0]); the
     # right-component matching at n = 1 then holds because the existence
     # condition is met.  r z1^n chi1 = -xi2[0] z1^n xi1, and likewise for t.
     r, t = xi2[0], xi1[0]
-
-    coords = ring_coordinates(length, offset, centered=True)
-    pieces = (
-        (coords <= 0, lambda n: (-r * z1**n)[:, None] * xi1),
-        (coords >= 1, lambda n: (-t * z2**n)[:, None] * xi2),
-    )
-    amp, seam = _materialize(coords, pieces, length, offset)
-    amp = amp / np.linalg.norm(amp)
-    profile = build_profile("single", length, theta1, theta2, offset=offset)
-    return BoundStateSolution(
-        energy=energy,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        coefficients=(complex(0, r), complex(0, t)),
-        configuration="single",
-        wavefunction=WalkerState.from_amplitudes(amp.reshape(-1)),
-        profile=profile,
-        seam=seam,
+    regions = ((-np.inf, 0, 0, -r, z1, xi1), (1, np.inf, 0, -t, z2, xi2))
+    return _mode_from_tails(
+        profile, offset, regions, energy=energy, kappa1=kappa1, kappa2=kappa2,
+        coefficients=(complex(0, r), complex(0, t)), configuration="single",
     )
 
 
@@ -335,59 +309,29 @@ def antisymmetric_mode(
     """E = 0 or pi mode of the flipped-exterior block layout.
 
     Ansatz weights A = sin(theta1), B = 0, D = sin(theta2) and
-    C = -sin(theta2) (s1 s2)^(N+1) e^{(kappa1-kappa2)(N+1)}, where s_i are
-    the momentum-class signs; with B = 0 the mode sits at the n = 0 jump.
+    C = -sin(theta2) (z2/z3)^(N+1) = -sin(theta2) (s1 s2)^(N+1) e^{(kappa1-kappa2)(N+1)},
+    where s_i are the momentum-class signs (theta3 = -theta1 shares kappa1 and s1);
+    with B = 0 the mode sits at the n = 0 jump.
     The weights are real and every spinor is i times a real one, so the
     wavefunction is materialized as the ansatz divided by i: a real vector.
     """
     energy = _energy_family(energy)
     _require_boundary_modes(theta1, theta2)
-    length = int(length)
     n_block = int(block_length)
-    offset = length // 4 if offset is None else int(offset) % length
-    theta3 = _check_angle(-theta1)
-
-    z1g, kappa1 = _evanescent(theta1, energy, decaying=False)
-    z2d, kappa2 = _evanescent(theta2, energy, decaying=True)
-    z3d, _ = _evanescent(theta3, energy, decaying=True)
-    xi1 = _spinor_at(theta1, z1g)
-    xi2d = _spinor_at(theta2, z2d)
-    xi3 = _spinor_at(theta3, z3d)
-
-    sign1 = _branch_sign(theta1, energy)
-    sign2 = _branch_sign(theta2, energy)
-    coeff_a = np.sin(theta1)
-    coeff_d = np.sin(theta2)
-    coeff_c = -np.sin(theta2) * (sign1 * sign2) ** (n_block + 1) * np.exp(
-        (kappa1 - kappa2) * (n_block + 1)
+    profile = build_profile("antisymmetric", length, theta1, theta2, wire_length=n_block, offset=offset)
+    z1, kappa1, xi1 = _tail(theta1, energy, decaying=False)
+    z2, kappa2, xi2 = _tail(theta2, energy, decaying=True)
+    z3, _, xi3 = _tail(-theta1, energy, decaying=True)
+    coeff_a, coeff_d = np.sin(theta1), np.sin(theta2)
+    coeff_c = -coeff_d * np.power(z2 / z3, n_block + 1)
+    regions = (
+        (-np.inf, -1, 0, coeff_d, z1, xi1),
+        (0, n_block, 0, coeff_a, z2, xi2),
+        # C z3^n folded as -sin(theta2) z2^(N+1) z3^(n-N-1), safe against a large (z2/z3)^(N+1)
+        (n_block + 1, np.inf, n_block + 1, -coeff_d * z2 ** (n_block + 1), z3, xi3),
     )
-    # Folded form of C z3^n, safe against large exp((kappa1-kappa2)(N+1)).
-    c_scale = -np.sin(theta2) * sign2 ** (n_block + 1) * np.exp(-kappa2 * (n_block + 1))
-
-    coords = ring_coordinates(length, offset, centered=True)
-    pieces = (
-        (coords < 0, lambda n: (coeff_d * z1g**n)[:, None] * xi1),
-        ((coords >= 0) & (coords <= n_block), lambda n: (coeff_a * z2d**n)[:, None] * xi2d),
-        (
-            coords > n_block,
-            lambda n: (
-                c_scale * sign1 ** (n_block + 1 + n) * np.exp(-kappa1 * (n - n_block - 1))
-            )[:, None]
-            * xi3,
-        ),
-    )
-    amp, seam = _materialize(coords, pieces, length, offset)
-    amp = amp / np.linalg.norm(amp)
-    profile = build_profile(
-        "antisymmetric", length, theta1, theta2, wire_length=n_block, offset=offset
-    )
-    return BoundStateSolution(
-        energy=energy,
-        kappa1=kappa1,
-        kappa2=kappa2,
+    return _mode_from_tails(
+        profile, offset, regions, energy=energy, kappa1=kappa1, kappa2=kappa2,
         coefficients=(complex(coeff_a), 0j, complex(coeff_c), complex(coeff_d)),
         configuration="antisymmetric",
-        wavefunction=WalkerState.from_amplitudes(amp.reshape(-1)),
-        profile=profile,
-        seam=seam,
     )

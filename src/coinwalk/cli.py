@@ -38,10 +38,12 @@ from .boundstates import (
 from .lattice import (
     PROFILE_KINDS,
     WalkerState,
+    _check_angle,
     build_profile,
     delta_state,
     evolve,
     position_distribution,
+    ring_coordinates,
 )
 from .spectral import (
     SIZE_CAP,
@@ -75,9 +77,10 @@ def _angle_in_pi_units(text: str) -> float:
             value = float(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an angle in units of pi: {text!r}") from exc
-    if not math.isfinite(value) or abs(value) > 1.0 + 1e-12:
-        raise argparse.ArgumentTypeError("angles must be finite and lie in [-1, 1] in units of pi")
-    return value * np.pi
+    try:
+        return _check_angle(value * np.pi)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("angles must be finite and lie in [-1, 1] in units of pi") from exc
 
 
 def _positive_int(text: str) -> int:
@@ -187,13 +190,15 @@ def _params(args) -> dict:
 
 
 def _profile_from_args(args):
+    """The ring layout of the flags; bound-single has no --kind and always lays out 'single'."""
+    flags = vars(args)
     try:
         return build_profile(
-            args.kind,
+            flags.get("kind", "single"),
             args.n_sites,
             args.theta1,
             theta2=args.theta2,
-            wire_length=args.wire_length,
+            wire_length=flags.get("wire_length"),
             offset=args.offset,
         )
     except ValueError as exc:
@@ -235,6 +240,7 @@ def cmd_winding(args) -> None:
 
 
 def cmd_bound_single(args) -> None:
+    _profile_from_args(args)  # a malformed ring is a usage error, whatever the verdict
     verdict = single_boundary_existence(args.theta1, args.theta2)
     extras = {"exists": verdict.exists, "reason": verdict.reason}
     columns = ("n", "site", "prob", "a_re", "a_im", "b_re", "b_im")
@@ -252,12 +258,11 @@ def cmd_bound_single(args) -> None:
             }
         )
         # one row per layout coordinate n, centred on the boundary
-        offset = args.n_sites // 4 if args.offset is None else args.offset
-        coords = np.arange(args.n_sites) - args.n_sites // 2
-        sites = (offset % args.n_sites + coords) % args.n_sites
+        coords = ring_coordinates(args.n_sites, args.offset, centered=True)
+        sites = np.argsort(coords)
         prob = position_distribution(solution.wavefunction)[sites]
         spin = solution.wavefunction.spinors()[sites].view(float)  # a_re, a_im, b_re, b_im
-        data = (coords, sites, prob, *spin.T)
+        data = (coords[sites], sites, prob, *spin.T)
     _emit(args, args.command, _params(args), columns, data, extras)
 
 

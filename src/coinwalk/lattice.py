@@ -75,11 +75,13 @@ class CoinProfile:
         return int(self.angles.size)
 
 
-def ring_coordinates(length: int, offset: int, centered: bool) -> np.ndarray:
+def ring_coordinates(length: int, offset: int | None, centered: bool) -> np.ndarray:
     """Layout coordinate n of every ring site; site (offset + n) % L has coordinate n.
 
-    ``centered`` selects n in [-L//2, L - L//2); otherwise n in [0, L).
+    ``offset=None`` places n = 0 at site L // 4, the one default placement of
+    every layout.  ``centered`` selects n in [-L//2, L - L//2); otherwise n in [0, L).
     """
+    offset = length // 4 if offset is None else int(offset) % length
     sites = np.arange(length)
     if centered:
         return ((sites - offset + length // 2) % length) - length // 2
@@ -109,14 +111,13 @@ def build_profile(
         "wire"           symmetric layout with theta1 = +/- pi/2 (reflecting
                          end coins), i.e. a hard-walled finite wire.
     offset:
-        Ring index of coordinate n = 0; defaults to length // 4.
+        Ring index of coordinate n = 0; None leaves it to ``ring_coordinates``.
     """
     if kind not in PROFILE_KINDS:
         raise ValueError(f"unknown profile kind {kind!r}; expected one of {PROFILE_KINDS}")
     length = int(length)
     if length < 2:
         raise ValueError("ring needs at least 2 sites")
-    offset = length // 4 if offset is None else int(offset) % length
     theta1 = _check_angle(theta1)
 
     if kind == "uniform":

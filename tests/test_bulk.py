@@ -16,6 +16,7 @@ from coinwalk import (
     particle_hole_check,
     winding_number,
 )
+from coinwalk import bulk
 from coinwalk.bulk import pauli_vector
 
 SQ2 = np.sqrt(2.0) / 2.0
@@ -248,6 +249,21 @@ class TestWinding:
     def test_near_closing_refines(self):
         result = winding_number(0.002 * np.pi, grid_points=64)
         assert result.m == 1
+
+    @pytest.mark.parametrize("frac", [1e-3, -1e-3, 0.999, -0.999])
+    def test_odd_grid_refines_near_closing(self, monkeypatch, frac):
+        # an odd grid steps over k = 0 and k = +/- pi, where h(k) passes close to the origin
+        sizes = []
+
+        def recording_h(theta, k):
+            sizes.append(len(k))
+            return offdiagonal_h(theta, k)
+
+        monkeypatch.setattr(bulk, "offdiagonal_h", recording_h)
+        result = winding_number(frac * np.pi, grid_points=65)
+        assert sizes == [66, 131]
+        assert result.m == np.sign(np.sin(frac * np.pi))
+        assert abs(result.integral_value - result.m) < 1e-6
 
 
 class TestParticleHole:

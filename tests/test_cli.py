@@ -190,7 +190,7 @@ class TestWireSpectrumCommand:
             assert row["E_over_pi[-0.2]"] is None
             assert row["E_over_pi[1/4]"] > 0
 
-    @pytest.mark.parametrize("theta2_list", ["foo", "1/4,3"])
+    @pytest.mark.parametrize("theta2_list", ["foo", "1/4,3", ","])
     def test_bad_theta2_token_is_usage_error(self, capsys, theta2_list):
         code = main(["wire-spectrum", "--theta2-list", theta2_list])
         captured = capsys.readouterr()
@@ -274,7 +274,10 @@ class TestEvolveCommand:
 class TestEvolveInit:
     @pytest.mark.parametrize(
         "init",
-        ["delta:3:left:junk", "delta:3::", "delta:99", "delta:8", "delta:-1", "delta:", "delta:x", "delta:3:up"],
+        [
+            "delta:3:left:junk", "delta:3::", "delta:99", "delta:8", "delta:-1", "delta:", "delta:x",
+            "delta:3:up", "bound:2", "foo",
+        ],
     )
     def test_malformed_delta_is_usage_error(self, capsys, init):
         argv = ["evolve", "--kind", "uniform", "--theta1", "0.25", "--n-sites", "8", "--init", init]
@@ -423,8 +426,22 @@ class TestUsageErrors:
                 "diagonalize", "--kind", "symmetric", "--theta1", "0.3", "--theta2", "-0.2",
                 "--wire-length", "63", "--n-sites", "64",
             ],
+            ["bound-single", "--theta1", "0.25", "--theta2", "-0.25", "--n-sites", "1"],
+            ["bound-single", "--theta1", "0.25", "--theta2", "0.3", "--n-sites", "1"],
+            [
+                "evolve", "--kind", "symmetric", "--theta1", "0.3", "--theta2", "-0.2",
+                "--wire-length", "-1",
+            ],
+            [
+                "diagonalize", "--kind", "antisymmetric", "--theta1", "-0.25", "--theta2", "0.25",
+                "--wire-length", "31", "--n-sites", "64",
+            ],
         ],
-        ids=["missing-theta2", "missing-wire-length", "wire-theta1", "one-site", "no-exterior"],
+        ids=[
+            "missing-theta2", "missing-wire-length", "wire-theta1", "one-site", "no-exterior",
+            "bound-single-one-site", "bound-single-one-site-same-sign", "negative-wire-length",
+            "antisymmetric-block-past-half-ring",
+        ],
     )
     def test_malformed_layout(self, capsys, argv):
         code = main(argv)
@@ -432,6 +449,49 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dispersion", "--theta", "0.25", "--k-points", "1"],
+            ["winding", "--theta-min", "0.25", "--grid-points", "32"],
+            ["wire-spectrum", "--theta2-list", "1/4", "--n-min", "0"],
+            ["wire-spectrum", "--theta2-list", "1/4", "--n-min", "5", "--n-max", "3"],
+            ["evolve", "--kind", "uniform", "--theta1", "0.25", "--n-sites", "8", "--steps", "-1"],
+        ],
+        ids=["k-points", "grid-points", "n-min", "n-max-below-n-min", "negative-steps"],
+    )
+    def test_out_of_range_flag(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound-single", "--theta1", "{}", "--theta2", "-0.25"],
+            ["dispersion", "--theta", "{}"],
+            ["winding", "--theta-min", "{}"],
+            ["wire-spectrum", "--theta2-list", "1/4,{}"],
+            ["evolve", "--kind", "uniform", "--theta1", "{}", "--n-sites", "8"],
+            ["diagonalize", "--kind", "single", "--theta1", "-0.25", "--theta2", "{}", "--n-sites", "8"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("angle", ["1.0000000000005", "-1.0000000000005", "10000000000005/10000000000000"])
+    def test_angle_just_past_pi(self, capsys, argv, angle):
+        # the parser applies the library's own angle range, so no such angle reaches a computation
+        code = main([arg.format(angle) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+    @pytest.mark.parametrize("text,value", [("1", np.pi), ("-1", -np.pi), ("1/1", np.pi), (" -1/1 ", -np.pi)])
+    def test_angle_range_ends_parse(self, text, value):
+        assert cli._angle_in_pi_units(text) == value
 
     @pytest.mark.parametrize(
         "argv",
@@ -497,7 +557,7 @@ class TestEntryPoint:
 
     def test_runs_without_scipy(self):
         # scipy is a test-only dependency: with every scipy import made to fail,
-        # the eigensolver, the kernel and the root solver still run
+        # the eigensolver, the kernel, the root solver and both mode builders still run
         src = pathlib.Path(cli.__file__).resolve().parents[1]
         probe = textwrap.dedent(
             """
@@ -510,6 +570,8 @@ class TestEntryPoint:
                 "diagonalize --kind uniform --theta1 0 --n-sites 48",
                 "evolve --kind uniform --theta1 0.25 --n-sites 32 --steps 20",
                 "wire-spectrum --theta2-list 1/3,1/4 --n-max 8",
+                "bound-single --theta1 0.25 --theta2 -0.25 --energy pi",
+                "evolve --kind antisymmetric --theta1 -0.25 --theta2 0.3 --wire-length 10 --init bound:pi",
             ]
             print([main(r.split() + ["--output", os.devnull]) for r in requests])
             """
@@ -519,7 +581,7 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[0, 0, 0, 0, 0]", done.stderr
+        assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0]", done.stderr
 
 
 class TestParserReuse:
