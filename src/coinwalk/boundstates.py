@@ -8,6 +8,10 @@ opposite signs), with the decay constant tied to the energy by
 
     cos E = cos(theta_1) cosh(kappa_1) = cos(theta_2) cosh(kappa_2).
 
+Every closed form takes kappa = arcsinh(sqrt((|s| - sin E)(|s| + sin E)) / |c|)
+from ``_decay``, with s, c as ``lattice._coin_entries`` stores them, so a coin
+whose cos it stores as 0 is a hard wall (kappa = infinity) here as in U.
+
 For a finite block of N+1 sites with angle theta2 between exteriors of
 angle theta1 (equal on both sides), the two end modes hybridize and the
 energies move off 0 and pi; with s_i = sin(theta_i) the quantization
@@ -39,6 +43,7 @@ from .lattice import (
     CoinProfile,
     WalkerState,
     _check_angle,
+    _coin_entries,
     build_profile,
     ring_coordinates,
 )
@@ -84,21 +89,37 @@ def _energy_family(energy: float) -> float:
     raise ValueError("closed-form boundary modes exist only at quasi-energy 0 or pi")
 
 
+def _decay(theta: float):
+    """kappa(sin E) = arcsinh(sqrt((|s| - sin E)(|s| + sin E)) / |c|) of theta, elementwise in sin E.
+
+    s and c are theta's ``_coin_entries``, taken once, here; a c stored as 0 is a hard wall.
+    """
+    entries = _coin_entries(np.array([theta]))
+    c, s = abs(entries[0, 0]), abs(entries[1, 0])
+    if c == 0:
+        raise ValueError("theta = +/- pi/2 is a hard wall (kappa = infinity)")
+
+    def kappa(sin_e):
+        gap = (s - sin_e) * (s + sin_e)
+        if gap.flat[gap.argmin()] < 0:  # on a few entries, a fraction of min's cost
+            raise ValueError("quasi-energy outside the bound-state window (cosh kappa < 1)")
+        return np.arcsinh(np.sqrt(gap) / c)
+
+    return kappa
+
+
 def decay_constant(theta: float, energy: float) -> float:
     """Decay constant of a boundary-mode tail at quasi-energy 0 or pi.
 
-    Solves |cos E| = |cos theta| cosh(kappa); equivalently
-    exp(kappa) = (1 + |sin theta|) / |cos theta|, which condenses the two
-    sign branches of the e^kappa formulas (the branch with kappa > 0).
+    Solves |cos E| = |cos theta| cosh(kappa), sin E = 0, by ``_decay``:
+    kappa = arcsinh(|tan theta|).  A coin whose cos ``lattice._coin_entries``
+    stores as 0 raises ``ValueError`` as a hard wall.
     """
     theta = _check_angle(theta)
     _energy_family(energy)
-    s, c = abs(np.sin(theta)), abs(np.cos(theta))
-    if s < bulk.GAP_TOL:
+    if abs(np.sin(theta)) < bulk.GAP_TOL:
         raise bulk.GapClosedError("decay constant diverges from kappa = 0 at sin(theta) = 0")
-    if c < 1e-12:
-        raise ValueError("theta = +/- pi/2 is a hard wall (kappa = infinity)")
-    return float(np.log((1.0 + s) / c))
+    return float(_decay(theta)(0.0))
 
 
 def single_boundary_existence(theta1: float, theta2: float) -> ExistenceVerdict:
@@ -142,32 +163,26 @@ def _require_boundary_modes(theta1: float, theta2: float) -> None:
         raise ValueError("no bound state: sin(theta1) and sin(theta2) share a sign")
 
 
-def _kappa_from_energy(theta: float, energy: float) -> float:
-    """Invert cosh(kappa) = |cos E / cos theta|; requires the ratio >= 1."""
-    c = abs(np.cos(theta))
-    if c < 1e-15:
-        raise ValueError("theta = +/- pi/2 has no finite decay constant")
-    ratio = abs(np.cos(energy)) / c
-    if ratio < 1.0:
-        raise ValueError("quasi-energy outside the bound-state window (cosh kappa < 1)")
-    return float(np.arccosh(ratio))
-
-
 def _wire_window(theta1: float, theta2: float) -> float:
     """Upper edge of the near-zero bound-state window in |E|, below every band."""
     return min(abs(theta1), np.pi - abs(theta1), abs(theta2), np.pi - abs(theta2))
 
 
-def _wire_terms(theta1: float, theta2: float, energy, block_length):
-    """sin E, A, B and x = k2 (N+1) of the equal-exterior condition, elementwise.
+def _wire_terms(theta1: float, theta2: float, block_length):
+    """E -> (sin E, A, B, x = k2 (N+1)) of the equal-exterior condition, elementwise; E-free work done once.
 
     B comes from (|cos t_i| sinh k_i)^2 = s_i^2 - sin^2 E = (|s_i| - sin E)(|s_i| + sin E).
     """
-    sin_e, s1, s2 = np.sin(energy), np.sin(theta1), np.sin(theta2)
-    gap1 = (abs(s1) - sin_e) * (abs(s1) + sin_e)
-    gap2 = (abs(s2) - sin_e) * (abs(s2) + sin_e)
-    x = np.arcsinh(np.sqrt(gap2) / abs(np.cos(theta2))) * (np.asarray(block_length) + 1)
-    return sin_e, sin_e * sin_e - s1 * s2, np.sqrt(gap1 * gap2), x
+    s1, s2, kappa2 = np.sin(theta1), np.sin(theta2), _decay(theta2)
+    abs1, abs2, product, span = abs(s1), abs(s2), s1 * s2, np.asarray(block_length) + 1
+
+    def terms(energy):
+        sin_e = np.sin(energy)
+        gap1 = (abs1 - sin_e) * (abs1 + sin_e)
+        gap2 = (abs2 - sin_e) * (abs2 + sin_e)
+        return sin_e, sin_e * sin_e - product, np.sqrt(gap1 * gap2), kappa2(sin_e) * span
+
+    return terms
 
 
 def wire_condition_residual(
@@ -181,7 +196,7 @@ def wire_condition_residual(
     _check_angle(theta2)
     if abs(energy) > _wire_window(theta1, theta2):
         raise ValueError("quasi-energy outside the window |E| <= min(|theta_i|, pi - |theta_i|)")
-    _, a, b, x = _wire_terms(theta1, theta2, energy, block_length)
+    _, a, b, x = _wire_terms(theta1, theta2, block_length)(energy)
     return float(np.sinh(x) * a - np.cosh(x) * b)
 
 
@@ -194,12 +209,11 @@ def antisymmetric_condition_residual(
     """
     _check_angle(theta1)
     _check_angle(theta2)
-    k1 = _kappa_from_energy(theta1, energy)
-    k2 = _kappa_from_energy(theta2, energy)
-    span = k2 * (int(block_length) + 1)
-    bracket = np.cos(theta1) * np.sinh(k1) * np.tanh(span) + np.cos(theta2) * np.sinh(k2)
     # float(pi) stands for exact pi here, where the factor vanishes identically
     sin_e = 0.0 if min(abs(energy), abs(energy - np.pi), abs(energy + np.pi)) < 1e-12 else np.sin(energy)
+    k1, k2 = _decay(theta1)(sin_e), _decay(theta2)(sin_e)
+    span = k2 * (int(block_length) + 1)
+    bracket = np.cos(theta1) * np.sinh(k1) * np.tanh(span) + np.cos(theta2) * np.sinh(k2)
     return float(sin_e * bracket)
 
 
@@ -208,7 +222,7 @@ def infinite_wire_limit(theta1: float, theta2: float) -> tuple[float, float]:
 
     Each is ``decay_constant`` at E = 0, so sinh(kappa_i) = |tan theta_i|;
     defined only for opposite-sign angle pairs, and a reflecting coin
-    (theta = +/- pi/2) raises ``ValueError`` as a hard wall.
+    raises ``ValueError`` as a hard wall, as in ``decay_constant``.
     """
     _require_boundary_modes(theta1, theta2)
     return decay_constant(theta1, 0.0), decay_constant(theta2, 0.0)
@@ -232,10 +246,10 @@ def _tail(theta: float, energy: float, decaying: bool) -> tuple[float, float, np
     is i (sin(t) z, cos(t) (1/z - z) / 2); built in real arithmetic, it carries
     none of the rounding noise of a complex log and exp at k = pi + i kappa.
     """
-    kappa = _kappa_from_energy(theta, energy)
-    sign = 1.0 if np.cos(energy) * np.cos(theta) > 0 else -1.0
+    kappa, cos_t = float(_decay(theta)(0.0)), np.cos(theta)  # sin E = 0 at both energies
+    sign = 1.0 if np.cos(energy) * cos_t > 0 else -1.0
     z = float(sign * np.exp(-kappa if decaying else kappa))
-    return z, kappa, np.array([np.sin(theta) * z, np.cos(theta) * (1 / z - z) / 2])
+    return z, kappa, np.array([np.sin(theta) * z, cos_t * (1 / z - z) / 2])
 
 
 def _mode_from_tails(profile: CoinProfile, offset, regions, **fields) -> BoundStateSolution:
@@ -259,10 +273,8 @@ def _mode_from_tails(profile: CoinProfile, offset, regions, **fields) -> BoundSt
             "ring too small: mode tails do not decay below "
             f"{_TAIL_CEILING} before the layout seam"
         )
-    amp = amp / np.linalg.norm(amp)
-    return BoundStateSolution(
-        wavefunction=WalkerState.from_amplitudes(amp.reshape(-1)), profile=profile, seam=seam, **fields
-    )
+    amp /= np.linalg.norm(amp)
+    return BoundStateSolution(wavefunction=WalkerState(amp.reshape(-1)), profile=profile, seam=seam, **fields)
 
 
 def single_boundary_mode(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _check_angle
+from .lattice import _check_angle, _chiral_frame
 
 GAP_TOL = 1e-9
 
@@ -130,13 +130,12 @@ def chiral_operator(theta: float) -> np.ndarray:
 def frame_rotation(theta: float) -> np.ndarray:
     """Rotation about y by (pi/2 - theta)/2 that off-diagonalizes H(k).
 
+    Its columns are the chiral frame's (-w_-, w_+) from ``lattice._chiral_frame``.
     With L = frame_rotation(theta), L^{-1} H(k) L has zero diagonal and its
     upper-right entry is proportional to h(k) = offdiagonal_h(theta, k)
     (overall scalar E/sin E and a k-independent phase).
     """
-    _check_angle(theta)
-    half = (np.pi / 2 - theta) / 2
-    return np.cos(half) * np.eye(2) + 1j * np.sin(half) * SIGMA_Y
+    return (_chiral_frame(np.array([_check_angle(theta)]))[0][:, ::-1] * [-1, 1]).astype(complex)
 
 
 def offdiagonal_h(theta: float, k) -> complex | np.ndarray:

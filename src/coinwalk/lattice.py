@@ -42,6 +42,7 @@ import numpy as np
 PROFILE_KINDS = ("uniform", "single", "symmetric", "antisymmetric", "wire")
 
 _NORM_GUARD = 1e-9
+_EPS = np.finfo(float).eps
 
 
 def _check_angle(theta: float) -> float:
@@ -108,8 +109,8 @@ def build_profile(
         "antisymmetric"  theta2 on n = 0..N, -theta1 for n > N, theta1 for
                          n < 0; the compensating seam sits diametrically
                          opposite the n = 0 boundary.
-        "wire"           symmetric layout with theta1 = +/- pi/2 (reflecting
-                         end coins), i.e. a hard-walled finite wire.
+        "wire"           symmetric layout with reflecting end coins, cos(theta1)
+                         stored as 0 by ``_coin_entries``: a hard-walled wire.
     offset:
         Ring index of coordinate n = 0; None leaves it to ``ring_coordinates``.
     """
@@ -139,7 +140,7 @@ def build_profile(
     if n_block + 1 >= length:
         raise ValueError("block of wire_length+1 sites leaves no exterior on the ring")
 
-    if kind == "wire" and abs(abs(theta1) - np.pi / 2) > 1e-12:
+    if kind == "wire" and _coin_entries(np.array([theta1]))[0, 0] != 0:
         raise ValueError("wire layout requires theta1 = +/- pi/2")
 
     if kind in ("symmetric", "wire"):
@@ -182,16 +183,6 @@ class WalkerState:
     def spinors(self) -> np.ndarray:
         """Per-site view of shape (L, 2); column 0 is the left component."""
         return self.amplitudes.reshape(self.length, 2)
-
-    @classmethod
-    def from_amplitudes(cls, values, normalize: bool = False) -> "WalkerState":
-        arr = np.asarray(values, dtype=complex)
-        if normalize:
-            norm = np.linalg.norm(arr)
-            if norm == 0:
-                raise ValueError("cannot normalize the zero vector")
-            arr = arr / norm
-        return cls(arr)
 
 
 def delta_state(length: int, site: int, component: str = "left") -> WalkerState:
@@ -237,22 +228,40 @@ def _aligned_buffers(count: int, shape: tuple, dtype) -> list[np.ndarray]:
     return [raw[start + i * stride :][:size].view(dtype).reshape(shape) for i in range(count)]
 
 
-def _coin_entries(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of every coin angle; sub-epsilon residue is stored as exact zero.
+def _coin_entries(angles: np.ndarray) -> np.ndarray:
+    """Rows cos and sin of an array of coin angles; sub-epsilon residue is stored as exact zero.
 
     Without the zeros a reflecting coin (cos theta ~ 6e-17 at theta = pi/2)
-    would leak amplitude through the wall it stands for.
+    would leak amplitude through the wall it stands for.  The closed forms
+    take their hard walls from the same zeros.
     """
-    c, s = np.cos(profile.angles), np.sin(profile.angles)
-    c[np.abs(c) < np.finfo(float).eps] = 0.0
-    s[np.abs(s) < np.finfo(float).eps] = 0.0
-    return c, s
+    entries = np.array([np.cos(angles), np.sin(angles)])
+    entries[np.abs(entries) < _EPS] = 0.0
+    return entries
+
+
+def _chiral_frame(angles: np.ndarray) -> np.ndarray:
+    """Eigenvectors of every coin's chiral reflection, shape (len(angles), 2, 2).
+
+    The reflection Gamma_n = [[-sin, cos], [cos, sin]] of theta_n satisfies
+    Gamma U Gamma = U^T.  Column 0 of site n holds its +1 eigenvector
+    (cos b, sin b), column 1 its -1 eigenvector (-sin b, cos b), with
+    b = theta/2 + pi/4, taken by half-angle formulas from ``_coin_entries``
+    so that reflecting coins give exactly (0, 1) or (1, 0) and theta = +/-pi,
+    one coin, gives one frame.
+    """
+    c, s = _coin_entries(angles)
+    low = s <= 0
+    cos_b, sin_b = np.sqrt((1 - s) / 2), np.sqrt((1 + s) / 2)
+    cos_b[~low] = c[~low] / (2 * sin_b[~low])
+    sin_b[low] = c[low] / (2 * cos_b[low])
+    return np.stack([np.stack([cos_b, -sin_b], axis=1), np.stack([sin_b, cos_b], axis=1)], axis=1)
 
 
 def apply_coin(state: WalkerState, profile: CoinProfile) -> WalkerState:
     """Rotate every internal doublet by the local coin angle."""
     _check_same_length(state, profile)
-    c, s = _coin_entries(profile)
+    c, s = _coin_entries(profile.angles)
     a, b = _split(state)
     return _join(c * a + s * b, -s * a + c * b)
 
@@ -299,7 +308,7 @@ def evolve(state: WalkerState, profile: CoinProfile, t: int) -> WalkerState:
     else:  # skip a class that is exactly zero
         lo, hi = int(not spin[0::2].any()), 1 + bool(spin[1::2].any())
     sites = np.concatenate([spin] * reps).reshape(half, 2, 2)  # (j, q, a/b)
-    coin = np.array(_coin_entries(profile))
+    coin = _coin_entries(profile.angles)
     coin = np.concatenate([coin] * reps + [coin[:, :1]], axis=1)  # cover sites 0 .. size
     # (a/b, class, j); cos_part holds (c a, c b), sin_part (s b, s a), coins[p] (c, s) at p
     psi, cos_part, sin_part, *coins = _aligned_buffers(3 + min(t, 2), (2, hi - lo, half), spin.dtype)

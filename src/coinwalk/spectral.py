@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boundstates
-from .lattice import CoinProfile, _coin_entries, step
+from .lattice import CoinProfile, _chiral_frame, _coin_entries, step
 from .boundstates import BoundStateSolution
 
 SIZE_CAP = 512
@@ -72,7 +72,7 @@ def _coin_shift(profile: CoinProfile) -> tuple[np.ndarray, np.ndarray]:
     coins are kept, so every row has two entries.
     """
     length = profile.length
-    c, s = _coin_entries(profile)
+    c, s = _coin_entries(profile.angles)
     sites = np.arange(length)
     src_a = (sites + 1) % length  # left component arrives from the right neighbor
     src_b = (sites - 1) % length
@@ -141,23 +141,6 @@ def _components(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
         while not np.array_equal(root[root], root):
             root = root[root]
     return np.unique(root, return_inverse=True)[1]
-
-
-def _chiral_frame(profile: CoinProfile) -> np.ndarray:
-    """Eigenvectors of every site's chiral reflection, shape (L, 2, 2).
-
-    The reflection Gamma_n = [[-sin, cos], [cos, sin]] of theta_n satisfies
-    Gamma U Gamma = U^T.  Column 0 of site n holds its +1 eigenvector
-    (cos b, sin b), column 1 its -1 eigenvector (-sin b, cos b), with
-    b = theta/2 + pi/4, taken by half-angle formulas from ``_coin_entries``
-    so that reflecting coins give exactly (0, 1) or (1, 0).
-    """
-    c, s = _coin_entries(profile)
-    low = s <= 0
-    cos_b, sin_b = np.sqrt((1 - s) / 2), np.sqrt((1 + s) / 2)
-    cos_b[~low] = c[~low] / (2 * sin_b[~low])
-    sin_b[low] = c[low] / (2 * cos_b[low])
-    return np.stack([np.stack([cos_b, -sin_b], axis=1), np.stack([sin_b, cos_b], axis=1)], axis=1)
 
 
 def _block_eigh(
@@ -315,7 +298,6 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
     counts = np.diff(np.append(starts, size))
     # Clusters of one size are solved together; each batch takes a copy of
     # its basis vectors, so the basis is freed before the first solve.
-    # (np.unique would import numpy.ma, at the cost of every process's first request.)
     spans = [
         order[starts[counts == count][:, None] + np.arange(count)]
         for count in np.flatnonzero(np.bincount(counts))
@@ -412,7 +394,7 @@ def diagonalize(profile: CoinProfile) -> SpectralResult:
     """
     if profile.length > SIZE_CAP:
         raise ValueError(f"ring size {profile.length} exceeds the dense-solver cap {SIZE_CAP}")
-    energies, vectors, _ = _eig_orthogonal(*_coin_shift(profile), _chiral_frame(profile))
+    energies, vectors, _ = _eig_orthogonal(*_coin_shift(profile), _chiral_frame(profile.angles))
     prob = np.square(vectors.real)
     prob += np.square(vectors.imag)
     site_prob = prob[0::2] + prob[1::2]
@@ -479,11 +461,12 @@ def solve_wire_energy(theta1: float, theta2: float, block_length):
         raise ValueError(f"no bound states to solve for: {verdict.reason}")
     lengths = np.asarray(block_length)
     jump = abs(np.sin(theta1) - np.sin(theta2))
+    terms = boundstates._wire_terms(theta1, theta2, lengths)
 
     def condition(u):
         # A^2 - B^2 = sin^2 E (s1 - s2)^2 turns tanh(x) A - B into the difference of
         # sin^2 E (s1 - s2)^2 / (A + B) and 2A / (1 + e^{2x}); this is the log of their ratio.
-        sin_e, a, b, x = boundstates._wire_terms(theta1, theta2, np.exp(u), lengths)
+        sin_e, a, b, x = terms(np.exp(u))
         return 2 * np.log(sin_e * jump) + np.logaddexp(0.0, 2 * x) - np.log(2 * a * (a + b))
 
     top = boundstates._wire_window(theta1, theta2) * (1.0 - 1e-9)

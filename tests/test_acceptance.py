@@ -165,7 +165,7 @@ def test_unitarity_and_confinement():
             length = 64
             prof = CoinProfile(rng.uniform(-np.pi, np.pi, length))
             raw = rng.normal(size=2 * length) + 1j * rng.normal(size=2 * length)
-            state = WalkerState.from_amplitudes(raw, normalize=True)
+            state = WalkerState(raw / np.linalg.norm(raw))
             for _ in range(1000):
                 state = step(state, prof)
             assert abs(np.linalg.norm(state.amplitudes) ** 2 - 1.0) < 1e-10

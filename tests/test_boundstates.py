@@ -5,6 +5,7 @@ from coinwalk import (
     GapClosedError,
     antisymmetric_condition_residual,
     antisymmetric_mode,
+    build_profile,
     decay_constant,
     eigenspinor_raw,
     infinite_wire_limit,
@@ -17,10 +18,26 @@ from coinwalk import (
     splitting_decay_rate,
     wire_condition_residual,
 )
+from coinwalk.lattice import _coin_entries
 
 LOG_SILVER = np.log(1 + np.sqrt(2.0))        # decay constant at theta = pi/4
 LOG_BRONZE = np.log(2 + np.sqrt(3.0))        # theta = pi/3
 LOG_ROOT3 = np.log(np.sqrt(3.0))             # theta = pi/6
+PI_TAIL = 1.2246467991473532e-16             # pi - float(pi)
+
+
+def near_gap_kappa(theta):
+    """kappa at E = 0, pi as 2 artanh(tan(phi / 2)), phi = min(|theta|, pi - |theta|) taken exactly."""
+    phi = min(abs(theta), np.pi - abs(theta) + PI_TAIL)
+    return 2 * np.arctanh(np.tan(phi / 2))
+
+
+# theta = pi/2 - d: a hard wall exactly where _coin_entries stores cos(theta) as 0
+WALL_OFFSETS = [0.0, 2.3e-16, 1e-15, 1e-13, 1e-12]
+
+
+def stored_as_wall(theta):
+    return _coin_entries(np.array([theta]))[0, 0] == 0
 
 
 class TestDecayConstant:
@@ -47,6 +64,12 @@ class TestDecayConstant:
     def test_energy_restricted_to_special_points(self):
         with pytest.raises(ValueError):
             decay_constant(np.pi / 4, 0.3)
+
+    @pytest.mark.parametrize("energy", [0.0, np.pi], ids=["0", "pi"])
+    @pytest.mark.parametrize("theta", [1e-4, -1e-4, 0.01, -0.01, np.pi - 1e-4, 1e-4 - np.pi])
+    def test_full_precision_next_to_gap_lines(self, theta, energy):
+        reference = near_gap_kappa(theta)
+        assert abs(decay_constant(theta, energy) - reference) <= 1e-15 * reference
 
 
 class TestExistence:
@@ -156,6 +179,27 @@ class TestInfiniteLimitAndSplitting:
         with pytest.raises(ValueError, match="hard wall"):
             infinite_wire_limit(theta1, theta2)
 
+    @pytest.mark.parametrize("offset", WALL_OFFSETS)
+    def test_wall_rule_is_the_lattice_rule(self, offset):
+        # decay_constant, infinite_wire_limit, single_boundary_mode and the wire
+        # layout treat a coin as a hard wall exactly when U does
+        theta, theta2 = np.pi / 2 - offset, -0.3 * np.pi
+        if stored_as_wall(theta):
+            for call in (
+                lambda: decay_constant(theta, 0.0),
+                lambda: infinite_wire_limit(theta, theta2),
+                lambda: single_boundary_mode(theta, theta2, 0.0, 64),
+            ):
+                with pytest.raises(ValueError, match="hard wall"):
+                    call()
+            build_profile("wire", 64, theta, theta2, wire_length=9)
+        else:
+            kappa = decay_constant(theta, 0.0)
+            assert np.isfinite(kappa) and infinite_wire_limit(theta, theta2)[0] == kappa
+            assert single_boundary_mode(theta, theta2, 0.0, 64).kappa1 == kappa
+            with pytest.raises(ValueError, match="wire layout requires"):
+                build_profile("wire", 64, theta, theta2, wire_length=9)
+
     def test_splitting_rates(self):
         assert abs(splitting_decay_rate(np.pi / 4) - LOG_SILVER) < 1e-14
         assert abs(splitting_decay_rate(np.pi / 3) - LOG_BRONZE) < 1e-14
@@ -219,6 +263,13 @@ class TestSingleBoundaryMode:
     def test_gap_closed_rejected(self):
         with pytest.raises(GapClosedError):
             single_boundary_mode(0.0, -np.pi / 4, 0.0, 64)
+
+    @pytest.mark.parametrize("energy", [0.0, np.pi], ids=["0", "pi"])
+    @pytest.mark.parametrize("theta1,theta2", [(-0.01, 0.3 * np.pi), (0.01, -0.3 * np.pi)])
+    def test_near_gap_decay_constant_at_full_precision(self, theta1, theta2, energy):
+        reference = near_gap_kappa(theta1)
+        kappa1 = single_boundary_mode(theta1, theta2, energy, 8192).kappa1
+        assert abs(kappa1 - reference) <= 1e-15 * reference
 
     def test_ring_too_small(self):
         with pytest.raises(ValueError, match="ring too small"):

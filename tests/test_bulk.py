@@ -219,6 +219,12 @@ class TestOffdiagonal:
             assert abs(rotated[0, 0]) < 1e-12
             assert abs(rotated[1, 1]) < 1e-12
 
+    def test_frame_rotation_is_one_frame_per_coin(self):
+        # theta = pi and -pi are one coin; reflecting coins get exact frames
+        assert np.array_equal(frame_rotation(np.pi), frame_rotation(-np.pi))
+        assert np.array_equal(frame_rotation(np.pi / 2), np.eye(2))
+        assert np.array_equal(frame_rotation(-np.pi / 2), [[0.0, 1.0], [-1.0, 0.0]])
+
 
 class TestWinding:
     def test_positive_angle(self):

@@ -19,7 +19,7 @@ SQ2 = np.sqrt(2.0) / 2.0
 
 def random_state(rng, length):
     raw = rng.normal(size=2 * length) + 1j * rng.normal(size=2 * length)
-    return WalkerState.from_amplitudes(raw, normalize=True)
+    return WalkerState(raw / np.linalg.norm(raw))
 
 
 def random_profile(rng, length):
@@ -197,7 +197,7 @@ class TestKernelParity:
         values = rng.normal(size=2 * prof.length)
         if start == "imaginary":  # nonzero imaginary part: stays on the complex kernel
             values = 1j * values
-        state = WalkerState.from_amplitudes(values, normalize=True)
+        state = WalkerState(values / np.linalg.norm(values))
         if start == "real-negative-zero-imag":
             amplitudes = state.amplitudes.copy()
             amplitudes.imag = -0.0

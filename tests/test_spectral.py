@@ -37,7 +37,7 @@ REFERENCE_ENERGIES = {
 
 def random_state(rng, length):
     raw = rng.normal(size=2 * length) + 1j * rng.normal(size=2 * length)
-    return WalkerState.from_amplitudes(raw, normalize=True)
+    return WalkerState(raw / np.linalg.norm(raw))
 
 
 class TestBuildUnitary:
@@ -326,7 +326,7 @@ def test_chiral_reflection_transposes_one_step(profile):
         half = gamma[even][:, even]
         assert np.max(np.abs(half @ two @ half - two.T)) <= 1e-15
     # the frame's columns are Gamma_n's eigenvectors for +1 and -1, orthonormal
-    frame = spectral._chiral_frame(profile)
+    frame = spectral._chiral_frame(profile.angles)
     sites = np.arange(profile.length)
     blocks = gamma.reshape(profile.length, 2, profile.length, 2)[sites, :, sites]
     assert np.max(np.abs(blocks @ frame - frame * [1.0, -1.0])) <= 1e-15
@@ -334,14 +334,14 @@ def test_chiral_reflection_transposes_one_step(profile):
 
 
 def test_chiral_frame_of_reflecting_coins_is_exact():
-    frame = spectral._chiral_frame(CoinProfile(np.array([np.pi / 2, -np.pi / 2])))
+    frame = spectral._chiral_frame(np.array([np.pi / 2, -np.pi / 2]))
     assert np.array_equal(frame, [[[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
 
 
 def block_eigh(profile, two_step=False):
     """``spectral._block_eigh`` of the sectors of U, or of M = U_eo U_oe, in ``_eig_orthogonal``'s order."""
     cols, vals = spectral._coin_shift(profile)
-    frame = spectral._chiral_frame(profile)
+    frame = spectral._chiral_frame(profile.angles)
     if two_step:
         cols, vals = spectral._two_step(cols, vals)[:2]
         frame = frame[::2]
