@@ -90,22 +90,28 @@ def _energy_family(energy: float) -> float:
 
 
 def _decay(theta: float):
-    """kappa(sin E) = arcsinh(sqrt((|s| - sin E)(|s| + sin E)) / |c|) of theta, elementwise in sin E.
+    """Functions sin E -> gap and gap -> kappa of theta, elementwise: one kappa through its radicand.
 
-    s and c are theta's ``_coin_entries``, taken once, here; a c stored as 0 is a hard wall.
+    gap = (|s| - sin E)(|s| + sin E) = (|c| sinh kappa)^2 and kappa =
+    arcsinh(sqrt(gap) / |c|); a caller that needs the radicand as well forms
+    it once.  s and c are theta's ``_coin_entries``, taken once, here; a c
+    stored as 0 is a hard wall.
     """
     entries = _coin_entries(np.array([theta]))
     c, s = abs(entries[0, 0]), abs(entries[1, 0])
     if c == 0:
         raise ValueError("theta = +/- pi/2 is a hard wall (kappa = infinity)")
 
-    def kappa(sin_e):
-        gap = (s - sin_e) * (s + sin_e)
-        if gap.flat[gap.argmin()] < 0:  # on a few entries, a fraction of min's cost
+    def gap(sin_e):
+        radicand = (s - sin_e) * (s + sin_e)
+        if radicand.flat[radicand.argmin()] < 0:  # on a few entries, a fraction of min's cost
             raise ValueError("quasi-energy outside the bound-state window (cosh kappa < 1)")
-        return np.arcsinh(np.sqrt(gap) / c)
+        return radicand
 
-    return kappa
+    def kappa(radicand):
+        return np.arcsinh(np.sqrt(radicand) / c)
+
+    return gap, kappa
 
 
 def decay_constant(theta: float, energy: float) -> float:
@@ -119,7 +125,8 @@ def decay_constant(theta: float, energy: float) -> float:
     _energy_family(energy)
     if abs(np.sin(theta)) < bulk.GAP_TOL:
         raise bulk.GapClosedError("decay constant diverges from kappa = 0 at sin(theta) = 0")
-    return float(_decay(theta)(0.0))
+    gap, kappa = _decay(theta)
+    return float(kappa(gap(0.0)))
 
 
 def single_boundary_existence(theta1: float, theta2: float) -> ExistenceVerdict:
@@ -173,14 +180,14 @@ def _wire_terms(theta1: float, theta2: float, block_length):
 
     B comes from (|cos t_i| sinh k_i)^2 = s_i^2 - sin^2 E = (|s_i| - sin E)(|s_i| + sin E).
     """
-    s1, s2, kappa2 = np.sin(theta1), np.sin(theta2), _decay(theta2)
-    abs1, abs2, product, span = abs(s1), abs(s2), s1 * s2, np.asarray(block_length) + 1
+    s1, s2, (gap_of, kappa_of) = np.sin(theta1), np.sin(theta2), _decay(theta2)
+    abs1, product, span = abs(s1), s1 * s2, np.asarray(block_length) + 1
 
     def terms(energy):
         sin_e = np.sin(energy)
+        gap2 = gap_of(sin_e)
         gap1 = (abs1 - sin_e) * (abs1 + sin_e)
-        gap2 = (abs2 - sin_e) * (abs2 + sin_e)
-        return sin_e, sin_e * sin_e - product, np.sqrt(gap1 * gap2), kappa2(sin_e) * span
+        return sin_e, sin_e * sin_e - product, np.sqrt(gap1 * gap2), kappa_of(gap2) * span
 
     return terms
 
@@ -211,7 +218,8 @@ def antisymmetric_condition_residual(
     _check_angle(theta2)
     # float(pi) stands for exact pi here, where the factor vanishes identically
     sin_e = 0.0 if min(abs(energy), abs(energy - np.pi), abs(energy + np.pi)) < 1e-12 else np.sin(energy)
-    k1, k2 = _decay(theta1)(sin_e), _decay(theta2)(sin_e)
+    (gap1, kappa1), (gap2, kappa2) = _decay(theta1), _decay(theta2)
+    k1, k2 = kappa1(gap1(sin_e)), kappa2(gap2(sin_e))
     span = k2 * (int(block_length) + 1)
     bracket = np.cos(theta1) * np.sinh(k1) * np.tanh(span) + np.cos(theta2) * np.sinh(k2)
     return float(sin_e * bracket)
@@ -246,7 +254,8 @@ def _tail(theta: float, energy: float, decaying: bool) -> tuple[float, float, np
     is i (sin(t) z, cos(t) (1/z - z) / 2); built in real arithmetic, it carries
     none of the rounding noise of a complex log and exp at k = pi + i kappa.
     """
-    kappa, cos_t = float(_decay(theta)(0.0)), np.cos(theta)  # sin E = 0 at both energies
+    gap, kappa_of = _decay(theta)
+    kappa, cos_t = float(kappa_of(gap(0.0))), np.cos(theta)  # sin E = 0 at both energies
     sign = 1.0 if np.cos(energy) * cos_t > 0 else -1.0
     z = float(sign * np.exp(-kappa if decaying else kappa))
     return z, kappa, np.array([np.sin(theta) * z, cos_t * (1 / z - z) / 2])
@@ -323,7 +332,8 @@ def antisymmetric_mode(
     Ansatz weights A = sin(theta1), B = 0, D = sin(theta2) and
     C = -sin(theta2) (z2/z3)^(N+1) = -sin(theta2) (s1 s2)^(N+1) e^{(kappa1-kappa2)(N+1)},
     where s_i are the momentum-class signs (theta3 = -theta1 shares kappa1 and s1);
-    with B = 0 the mode sits at the n = 0 jump.
+    with B = 0 the mode sits at the n = 0 jump.  A C beyond float64 range,
+    (kappa1 - kappa2)(N+1) above ~709, raises ``ValueError``.
     The weights are real and every spinor is i times a real one, so the
     wavefunction is materialized as the ansatz divided by i: a real vector.
     """
@@ -335,7 +345,13 @@ def antisymmetric_mode(
     z2, kappa2, xi2 = _tail(theta2, energy, decaying=True)
     z3, _, xi3 = _tail(-theta1, energy, decaying=True)
     coeff_a, coeff_d = np.sin(theta1), np.sin(theta2)
-    coeff_c = -coeff_d * np.power(z2 / z3, n_block + 1)
+    with np.errstate(over="ignore"):
+        coeff_c = -coeff_d * np.power(z2 / z3, n_block + 1)
+    if not np.isfinite(coeff_c):
+        raise ValueError(
+            f"ansatz weight C = -sin(theta2) e^((kappa1 - kappa2)(N+1)) overflows float64 at "
+            f"(kappa1 - kappa2)(N+1) = {(kappa1 - kappa2) * (n_block + 1):.4g}"
+        )
     regions = (
         (-np.inf, -1, 0, coeff_d, z1, xi1),
         (0, n_block, 0, coeff_a, z2, xi2),

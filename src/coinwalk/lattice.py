@@ -45,9 +45,14 @@ _NORM_GUARD = 1e-9
 _EPS = np.finfo(float).eps
 
 
+def _in_angle_range(angles) -> np.ndarray:
+    """Whether each coin angle is finite and lies in [-pi, pi], to 1e-12; NaN compares false."""
+    return np.abs(angles) <= np.pi + 1e-12
+
+
 def _check_angle(theta: float) -> float:
     theta = float(theta)
-    if not np.isfinite(theta) or abs(theta) > np.pi + 1e-12:
+    if not _in_angle_range(theta):
         raise ValueError(f"coin angle must lie in [-pi, pi], got {theta!r}")
     return theta
 
@@ -66,7 +71,7 @@ class CoinProfile:
         arr = np.array(self.angles, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("profile needs a one-dimensional, non-empty angle array")
-        if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > np.pi + 1e-12):
+        if not np.all(_in_angle_range(arr)):
             raise ValueError("all coin angles must be finite and lie in [-pi, pi]")
         arr.setflags(write=False)
         object.__setattr__(self, "angles", arr)

@@ -29,16 +29,27 @@ arithmetic, with numpy alone:
    cluster spanning an invariant subspace of U; a generic +/-E pair is a
    cluster of two, one member from each sector, so cos E is sorted within
    groups: U's components, joined over every site whose frame mixes them.
-   Clusters of equal size are resolved together by a batched small
-   Hermitian ``eigh`` of U restricted to them.
+   A pair's real sector vectors p and q give its eigenvectors
+   (p +/- iq)/sqrt(2) without a solve.  Every other cluster, and a pair
+   whose |sin E| is at most ``_PAIR_FLOOR`` (its splitting unresolved, as
+   for the E = 0, pi modes of two far-apart boundaries), is resolved by a
+   batched small ``eigh`` of U restricted to it, which the chiral symmetry
+   makes real: every eigenvector is p + iq with p in one sector and q in
+   the other, so the solve and the vectors need no complex arithmetic.
 4. E is read from the angle of the Rayleigh quotient v^H U v, which is
-   accurate at E = 0 and pi where arccos(cos E) is not.
+   accurate at E = 0 and pi where arccos(cos E) is not; for a pair it
+   comes from p, q and their images under U in real arithmetic, as do the
+   pair's IPR and eigen-residual.  No complex eigenvector is formed for a
+   pair until it is read.
 
 A largest eigen-residual ||Uv - e^{-iE} v|| above 1e-10, taken through
-the action of U's entries on the returned vectors, is treated as a
-solver failure.  Localized states are separated from band states by the
-inverse participation ratio sum_n p_n^2, which scales like 1/L for
-extended states but stays O(tanh kappa) for bound states.
+the action of U's entries (on an even ring, U_oe and then U_eo) on every
+eigenvector, is treated as a solver failure, in ``diagonalize`` itself.
+The complex eigenvectors of a result are built on first read, all of them
+or only a kept few, and guarded again through U's entries.  Localized
+states are separated from band states by the inverse participation ratio
+sum_n p_n^2, which scales like 1/L for extended states but stays
+O(tanh kappa) for bound states.
 
 Bound-state energies of a finite block are obtained independently by
 bisecting the block quantization condition in ln E, for many block lengths
@@ -47,7 +58,9 @@ at once, giving a dual route that cross-checks the closed-form modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +75,10 @@ SIZE_CAP = 512
 # to the sector blocks' eigenvalues taken together, sorted within a group;
 # on an even ring these are the eigenvalues cos 2E of U^2's block.
 _CLUSTER_GAP = 1e-4
+# A +/-E pair whose |sin E| is at most this floor is not split in the sector
+# basis: like the E = 0, pi modes of two far-apart boundaries, each sector's
+# vector is an eigenvector to rounding, and (p +/- iq)/sqrt(2) would mix them.
+_PAIR_FLOOR = 1e-6
 _RESIDUAL_GUARD = 1e-10
 
 
@@ -89,7 +106,7 @@ def build_unitary(profile: CoinProfile) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpectralResult:
     """Eigen-decomposition of a one-step unitary, sorted by quasi-energy.
 
@@ -97,17 +114,41 @@ class SpectralResult:
     ``quasi_energies``; ``ipr`` is the inverse participation ratio of each
     eigenvector's position distribution.  ``indices`` point back into the
     ordering of the decomposition a subset was taken from.
+
+    A ``diagonalize`` result is given ``vectors=None`` and a builder of
+    columns at given positions: its ``vectors`` are built, and guarded
+    against the eigen-residual bound, on first read, and until then
+    ``columns`` builds only the columns asked for.  A subset taken by
+    ``find_bound_states`` builds its columns when it is taken.
     """
 
     quasi_energies: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     ipr: np.ndarray
     length: int
     indices: np.ndarray
+    _build: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.vectors is None and self._build is not None:  # built by __getattr__ on first read
+            object.__delattr__(self, "vectors")
+
+    def __getattr__(self, name):
+        if name != "vectors" or "_build" not in self.__dict__:
+            raise AttributeError(name)
+        object.__setattr__(self, "vectors", self._build(np.arange(self.count)))
+        return self.vectors
 
     @property
     def count(self) -> int:
         return int(self.quasi_energies.size)
+
+    def columns(self, keep) -> np.ndarray:
+        """Eigenvectors at positions ``keep`` as columns, built alone while ``vectors`` is unread."""
+        if "vectors" in self.__dict__:
+            return self.vectors[:, keep]
+        positions, inverse = np.unique(keep, return_inverse=True)
+        return self._build(positions)[:, inverse]
 
 
 def _apply(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -187,52 +228,57 @@ def _block_eigh(
     return values, basis.T
 
 
-def _resolve_clusters(cols, vals, q, cos_e):
+def _resolve_clusters(cols, vals, q, cos_e, sector):
     """Eigenpairs of U restricted to k clusters of m members each.
 
     U is given by its entries U[i, cols[i, j]] = vals[i, j]; ``q`` holds
-    the clusters' eigenvectors of (U + U^T)/2 as rows, shape (k, m, n), and
-    ``cos_e`` their eigenvalues with shape (k, m).  In a cluster's basis Q,
+    the clusters' eigenvectors of (U + U^T)/2 as rows, shape (k, m, n),
+    ``cos_e`` their eigenvalues and ``sector`` their chiral sectors, 0 or
+    1, both with shape (k, m).  In a cluster's basis Q,
     G = Q^T U Q = diag(cos E) + A with A = Q^T K Q and K = (U - U^T)/2.
     A is antisymmetric and equals G off the diagonal, so it is built from
     the strict upper triangle of G, for which U acts only on members
-    1..m-1 of each cluster.  Each cluster is solved by eigh of the Hermitian
-    part of e^{i phi} G, whose eigenvalues mu = cos(E - phi) separate every
-    distinct lambda of the cluster for phi = pi/2 (|cos E| > 1/2) or pi/4;
-    a +/-E pair is the 2 x 2 case.  For a unit eigenvector y, lambda =
-    y^H G y has real part sum_i |y_i|^2 cos E_i and, since mu = Re(e^{i phi}
-    lambda), imaginary part (cos(phi) Re lambda - mu) / sin(phi).  Returns
-    E = -arg(lambda) and the coefficients y in the basis Q.
+    1..m-1 of each cluster.  Each cluster is solved through the Hermitian
+    part H of e^{i phi} G, whose eigenvalues mu = cos(E - phi) separate
+    every distinct lambda of the cluster for phi = pi/2 (|cos E| > 1/2) or
+    pi/4; a +/-E pair is the 2 x 2 case.  Since Gamma U Gamma = U^T, A has
+    no entries within a sector, and with T = diag(i^sector) the matrix
+    T^H H T is real: cos(phi) cos E on the diagonal and
+    sin(phi) (sector_j - sector_k) A_jk off it, solved by a real ``eigh``.
+    For its unit eigenvector z, y = T z and lambda = y^H G y has real part
+    sum_j z_j^2 cos E_j and, since mu = Re(e^{i phi} lambda), imaginary part
+    (cos(phi) Re lambda - mu) / sin(phi).  Returns E = -arg(lambda) and the
+    real coefficients z: the eigenvector is sum_j z_j q_j over the sector-0
+    members plus i times that sum over the sector-1 members.
     """
-    herm = np.zeros(cos_e.shape + cos_e.shape[1:], dtype=complex)
-    upper = herm.real  # G's strict upper triangle, until A is formed from it
+    upper = np.zeros(cos_e.shape + cos_e.shape[1:])  # G's strict upper triangle
     for top in range(1, q.shape[1], 256):  # few temporaries for a large cluster
         part = np.ascontiguousarray(q[:, top : top + 256])
         image = _apply(cols, vals, part.reshape(-1, q.shape[2])).reshape(part.shape)
         upper[:, :, top : top + 256] = np.triu(q @ image.transpose(0, 2, 1), 1 - top)
         del part, image
     phase = np.where(np.abs(cos_e[:, 0]) > 0.5, np.pi / 2, np.pi / 4)
-    np.subtract(upper, upper.transpose(0, 2, 1), out=herm.imag)
-    upper[...] = 0
-    herm.imag *= np.sin(phase)[:, None, None]
-    diagonal = np.einsum("kii->ki", herm)
-    diagonal += np.cos(phase)[:, None] * cos_e
-    mu, coeffs = np.linalg.eigh(herm)
-    del herm, diagonal
-    re = np.einsum("ki,kij,kij->kj", cos_e, coeffs.real, coeffs.real)
-    re += np.einsum("ki,kij,kij->kj", cos_e, coeffs.imag, coeffs.imag)
+    # The upper triangle of T^H H T, read by eigh as the lower one of its transpose.
+    side = sector.astype(np.int8)
+    upper *= side[:, :, None] - side[:, None, :]
+    upper *= np.sin(phase)[:, None, None]
+    np.einsum("kii->ki", upper)[...] = np.cos(phase)[:, None] * cos_e
+    mu, coeffs = np.linalg.eigh(upper.transpose(0, 2, 1))
+    del upper
+    re = np.einsum("ki,kij,kij->kj", cos_e, coeffs, coeffs)
     im = (np.cos(phase)[:, None] * re - mu) / np.sin(phase)[:, None]
     return np.arctan2(-im, re), coeffs
 
 
 def _two_step(cols: np.ndarray, vals: np.ndarray):
-    """Entries of M = U_eo U_oe and of U_oe, for a U that joins only sites of opposite parity.
+    """Entries of M = U_eo U_oe, of U_oe and of U_eo, for a U that joins only sites of opposite parity.
 
     U is given by its entries U[i, cols[i, j]] = vals[i, j]; row i lies on
     site i // 2, and U_eo, U_oe are its blocks from odd-site rows to
     even-site rows and back.  Each sublattice's rows are numbered in order,
     row i as (i // 4) * 2 + i % 2.  Returns M's index arrays, four entries
-    per row (two share a column on a 2-site ring), then U_oe's.
+    per row (two share a column on a 2-site ring), then U_oe's and U_eo's
+    as (cols, vals) pairs.
     """
     rows = np.arange(len(cols))
     index = rows // 4 * 2 + rows % 2
@@ -240,7 +286,7 @@ def _two_step(cols: np.ndarray, vals: np.ndarray):
     via = cols[even]
     two_cols = index[cols[via]].reshape(len(even), -1)
     two_vals = (vals[even][:, :, None] * vals[via]).reshape(len(even), -1)
-    return two_cols, two_vals, index[cols[odd]], vals[odd]
+    return two_cols, two_vals, (index[cols[odd]], vals[odd]), (index[via], vals[even])
 
 
 def _sectors(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
@@ -262,15 +308,75 @@ def _sectors(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
     )
 
 
-def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
-    """Unsorted eigenpairs of a real orthogonal matrix, U[i, cols[i, j]] = vals[i, j].
+def _measure(factors, rows: np.ndarray, d: int, energies=None):
+    """E, IPR and eigen-residual of unit vectors x = rows[:, 0] + i rows[:, 1] of X = ... F2 F1.
+
+    ``factors`` holds the entries (cols, vals) of F1, F2, ..., applied in
+    that order, in real arithmetic.  x and its images under every factor
+    but the last share x's unit weight equally, over sites of d rows each:
+    on an even ring x and U_oe x are the two halves of U's eigenvector
+    lifted from M = U_eo U_oe.  E = -arg(x^H X x), the angle of the
+    Rayleigh quotient, unless ``energies`` are given; the residual is
+    ||X x - e^{-iE} x||.
+    """
+    count, _, n = rows.shape
+    stages = [rows]
+    for cols, vals in factors:
+        stages.append(_apply(cols, vals, stages[-1].reshape(-1, n)).reshape(rows.shape))
+    image = stages.pop()
+    ipr = np.zeros(count)
+    for stage in stages:
+        prob = np.einsum("kci,kci->ki", stage, stage).reshape(count, -1, d) @ np.ones(d)  # a fast sum over d
+        ipr += np.einsum("ks,ks->k", prob, prob)
+    ipr /= len(stages) ** 2
+    re, im = rows[:, 0], rows[:, 1]
+    if energies is None:
+        energies = np.arctan2(
+            np.einsum("ki,ki->k", im, image[:, 0]) - np.einsum("ki,ki->k", re, image[:, 1]),
+            np.einsum("ki,ki->k", re, image[:, 0]) + np.einsum("ki,ki->k", im, image[:, 1]),
+        )
+    cos_e, sin_e = np.cos(energies)[:, None], np.sin(energies)[:, None]
+    image[:, 0] -= cos_e * re + sin_e * im
+    image[:, 1] -= cos_e * im - sin_e * re
+    return energies, ipr, np.sqrt(np.einsum("kci,kci->k", image, image))
+
+
+def _cluster_vectors(span: np.ndarray, q: np.ndarray, coeffs: np.ndarray, sector: np.ndarray, clusters):
+    """Vectors sum_j coeffs[k, j, i] q[k, j] i^sector[k, j] of the members i of ``clusters`` k, 64 at a time.
+
+    Yields the members' eigenpairs span[k, i] and their vectors as (2, n)
+    rows of real and imaginary parts, both in the order (k, i).
+    """
+    step = max(1, 64 // span.shape[1])  # clusters per chunk, of at most 64 members each
+    for first in range(0, clusters.size, step):
+        at = clusters[first : first + step]
+        basis = q[at]
+        for top in range(0, span.shape[1], 64):
+            block = coeffs[at, :, top : top + 64]
+            rows = np.empty((at.size, block.shape[2], 2, q.shape[2]))
+            for c in (0, 1):
+                part = np.where(sector[at][:, :, None] == c, block, 0.0)
+                rows[:, :, c] = part.transpose(0, 2, 1) @ basis
+            yield span[at, top : top + 64].ravel(), rows.reshape(-1, 2, q.shape[2])
+
+
+def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
+    """Unsorted eigenpairs of a real orthogonal matrix X, X[i, cols[i, j]] = vals[i, j].
 
     Row i lies on site i // d, component i % d, of ``frame`` (sites, d, d),
-    whose columns at every site are an orthonormal basis of sectors over
-    which (U + U^T)/2 is block-diagonal.  Each sector's block is built from
-    U's entries alone and solved on its own.  Returns E = -arg(lambda), one
-    per row, and the solved clusters as a list of (span, q, coeffs): the
-    eigenvector of E[span[k, i]] is sum_j coeffs[k, j, i] q[k, j].
+    d = 2, whose columns at every site are the +1 and -1 eigenvectors of a site's
+    reflection Gamma with Gamma X Gamma = X^T: the two sectors, over which
+    (X + X^T)/2 is block-diagonal.  Each sector's block is built from
+    X's entries alone and solved on its own.  ``factors`` holds the entries
+    of matrices whose product is X (see ``_measure``).  A cluster of one
+    member p from one sector and one q from another is a +/-E pair, with
+    eigenvectors (p +/- iq)/sqrt(2) that are measured, never formed, in
+    real arithmetic; one whose |sin E| is at most ``_PAIR_FLOOR``, like
+    every other cluster, is solved by ``_resolve_clusters``.  Returns
+    E = -arg(lambda), the IPR and the largest eigen-residual of the
+    eigenvectors (see ``_measure``), and the solved clusters as a list of
+    (span, q, coeffs, side): the eigenvector of E[span[k, i]] is
+    sum_j coeffs[k, j, i] q[k, j] i^side[k, j], side the members' sectors.
     """
     sites, d = frame.shape[:2]
     weight = frame.reshape(len(cols), d)
@@ -279,11 +385,11 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
     sizes = np.bincount(labels)
     # Eigenvalues are kept in a node order sorted by component size, then
     # component, where the components of one size are a run of equal
-    # diagonal blocks; the eigenvectors are rows over U's rows.
+    # diagonal blocks; the eigenvectors are rows over X's rows.
     members = np.lexsort((labels, sizes[labels]))
     cos_e, basis = _block_eigh(sector_cols, sector_vals, members, np.sort(sizes), frame)
     # A cluster pairs eigenvalues of different sectors, so cos E is sorted within
-    # groups: U's components joined with the rows of every site whose frame mixes them.
+    # groups: X's components joined with the rows of every site whose frame mixes them.
     rows = np.arange(len(cols))
     partner = rows - rows % d + (rows + 1) % d
     mixed = (weight * weight[partner]).any(axis=1)
@@ -304,85 +410,127 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
     ]
     batches = [(span, basis[span]) for span in spans]
     del basis
-    energies = np.empty(size)
+    energies, ipr, residual = np.empty(size), np.empty(size), 0.0
     solved = []
     for span, q in batches:
-        energies[span], coeffs = _resolve_clusters(cols, vals, q, cos_e[span])
-        solved.append((span, q, coeffs))
-    return energies, solved
+        width = span.shape[1]
+        coeffs = np.empty((len(span), width, width))
+        pairs = np.arange(0)
+        side = sector[span]
+        # For p of sector 0 and q of sector 1, pair member 0 is (p + iq)/sqrt(2)
+        # at E and member 1 is (p - iq)/sqrt(2) at -E.
+        if width == 2:
+            pairs = np.flatnonzero(side[:, 0] != side[:, 1])
+            coeffs[pairs] = np.sqrt(0.5) * np.array([[1, 1], [1, -1]])
+        for top in range(0, pairs.size, 64):
+            at = pairs[top : top + 64]
+            p_q = np.take_along_axis(q[at], side[at, :, None], axis=1)
+            pair_e, ipr[span[at, 0]], found = _measure(factors, p_q * np.sqrt(0.5), d)
+            energies[span[at]] = pair_e[:, None] * [1, -1]
+            ipr[span[at, 1]] = ipr[span[at, 0]]
+            residual = max(residual, found.max())
+        rest = np.ones(len(span), dtype=bool)
+        rest[pairs] = np.abs(np.sin(energies[span[pairs, 0]])) <= _PAIR_FLOOR
+        rest = np.flatnonzero(rest)
+        if rest.size:
+            energies[span[rest]], coeffs[rest] = _resolve_clusters(
+                cols, vals, q if rest.size == len(q) else q[rest], cos_e[span[rest]], side[rest]
+            )
+            for slots, parts in _cluster_vectors(span, q, coeffs, side, rest):
+                _, ipr[slots], found = _measure(factors, parts, d, energies[slots])
+                residual = max(residual, found.max())
+        solved.append((span, q, coeffs, side))
+    return energies, ipr, residual, solved
 
 
-def _eig_orthogonal(
-    cols: np.ndarray, vals: np.ndarray, frame: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _guard(residual: float) -> None:
+    if residual > _RESIDUAL_GUARD:
+        raise RuntimeError(f"eigensolver failure: eigen-residual {residual:.2e} exceeds {_RESIDUAL_GUARD}")
+
+
+def _eig_orthogonal(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
     """Eigen-decomposition of a real orthogonal matrix, sorted by quasi-energy.
 
     The matrix is given by its entries U[i, cols[i, j]] = vals[i, j], and
-    ``frame`` holds every site's sector basis (see ``_eigenpairs``): the
-    chiral frame for U's two rows per site, or one sector of one row per
-    site, which splits nothing.  Returns E = -arg(lambda) in (-pi, pi], the
-    unit eigenvectors as columns and the largest eigen-residual
-    ||Uv - lambda v||.
+    ``frame`` holds every site's chiral frame for U's two rows per site
+    (see ``_eigenpairs``).  Returns E = -arg(lambda) in (-pi, pi], the
+    IPR of each eigenvector over the frame's sites, the largest
+    eigen-residual ||Uv - lambda v||, and a function of sorted positions
+    that builds those unit eigenvectors as columns (``_assemble``); a
+    residual above ``_RESIDUAL_GUARD`` raises here, before any is built.
 
     Row i lies on site i // 2.  When every nonzero entry joins sites of
     opposite parity, as on an even ring, U^2 is block-diagonal over the two
     sublattices, and U is solved through its even-site block M = U_eo U_oe,
     in the frame of the even sites.  An eigenpair M x = e^{-i phi} x gives
     the two eigenpairs E = phi/2 and phi/2 + pi of U, with vectors
-    (x; +/- e^{i phi/2} U_oe x)/sqrt(2).
+    (x; +/- e^{i phi/2} U_oe x)/sqrt(2): both have the site distribution of
+    x and U_oe x, each at half weight, and the residual
+    ||Mx - e^{-i phi} x|| / sqrt(2).
     """
     size = len(cols)
-    # The largest array is allocated before the solve's temporaries, so it can
-    # take memory that earlier work freed instead of growing the heap past them.
-    rows = np.empty((size, size), dtype=complex)
     parity = np.arange(size) // 2 % 2
     bipartite = not np.any((parity[cols] == parity[:, None]) & (vals != 0))
     if bipartite:
-        two_cols, two_vals, oe_cols, oe_vals = _two_step(cols, vals)
-        phi, solved = _eigenpairs(two_cols, two_vals, frame[::2])
+        two_cols, two_vals, oe, eo = _two_step(cols, vals)
+        phi, ipr, residual, solved = _eigenpairs(two_cols, two_vals, frame[::2], (oe, eo))
         energies = np.concatenate([phi / 2, phi / 2 + np.where(phi > 0, -np.pi, np.pi)])
+        ipr, residual, lift = np.concatenate([ipr, ipr]), residual / np.sqrt(2), (oe, phi)
     else:
-        energies, solved = _eigenpairs(cols, vals, frame)
+        energies, ipr, residual, solved = _eigenpairs(cols, vals, frame, ((cols, vals),))
+        lift = None
+    _guard(residual)
     energies[energies == -np.pi] = np.pi
     order = np.argsort(energies)
     energies = energies[order]
-    position = np.empty(size, dtype=int)
-    position[order] = np.arange(size)
-    # Eigenvectors are written as contiguous rows, straight into sorted
-    # order; a large cluster is written a few hundred vectors at a time.
-    for span, q, coeffs in solved:
-        for top in range(0, span.shape[1], 256):
-            slots = span[:, top : top + 256].ravel()
-            # U's own vectors go straight to their rows; M's are lifted below.
-            x = np.empty((slots.size, q.shape[2]), dtype=complex) if bipartite else rows
-            at = slice(None) if bipartite else position[slots]
-            for part, out in ((coeffs.real, x.real), (coeffs.imag, x.imag)):
-                block = np.ascontiguousarray(part[:, :, top : top + 256].transpose(0, 2, 1))
-                out[at] = (block @ q).reshape(-1, q.shape[2])
-            if not bipartite:
+    columns = functools.partial(_assemble, cols, vals, energies, order, solved, lift)
+    return energies, ipr[order], residual, columns
+
+
+def _assemble(cols, vals, energies, order, solved, lift, keep: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of U at sorted positions ``keep``, as columns, guarded through U's entries.
+
+    U[i, cols[i, j]] = vals[i, j] has the sorted ``energies``; ``order``
+    maps them to the eigenpairs of the clusters ``solved`` by
+    ``_eigenpairs``, and only clusters with a kept member are combined.
+    With ``lift`` = (U_oe's entries, phi), the clusters are those of
+    M = U_eo U_oe, and the eigenpair M x = e^{-i phi} x is lifted to U's two
+    eigenvectors (see ``_eig_orthogonal``); an eigenvector's rows are
+    written contiguously.
+    """
+    size = len(cols)
+    column = np.full(size, -1)  # eigenpairs not kept are written to a spare last row
+    column[order[keep]] = np.arange(keep.size)
+    rows = np.empty((keep.size + 1, size), dtype=complex)
+    sites = rows.reshape(keep.size + 1, -1, 2, 2) if lift else None  # (vector, site pair, parity, component)
+    for span, q, coeffs, side in solved:
+        wanted = column[span] >= 0
+        if lift:
+            wanted |= column[span + size // 2] >= 0
+        for slots, parts in _cluster_vectors(span, q, coeffs, side, np.flatnonzero(wanted.any(axis=1))):
+            x = np.empty((len(parts), parts.shape[2]), dtype=complex)
+            x.real, x.imag = parts[:, 0], parts[:, 1]
+            if not lift:
+                rows[column[slots]] = x
                 continue
-            y = _apply(oe_cols, oe_vals, x)
-            y *= np.sqrt(0.5) * np.exp(0.5j * phi[slots])[:, None]
+            y = _apply(*lift[0], x)
+            y *= np.sqrt(0.5) * np.exp(0.5j * lift[1][slots])[:, None]
             x *= np.sqrt(0.5)
             x, y = x.reshape(len(slots), -1, 2), y.reshape(len(slots), -1, 2)
-            sites = rows.reshape(size, -1, 2, 2)  # (vector, site pair, parity, component)
-            low, high = position[slots], position[slots + size // 2]
-            sites[low, :, 0] = sites[high, :, 0] = x
-            sites[low, :, 1] = y
-            sites[high, :, 1] = -y
-    del solved, q, coeffs
-
+            sites[column[slots], :, 0] = sites[column[slots + size // 2], :, 0] = x
+            sites[column[slots], :, 1] = y
+            sites[column[slots + size // 2], :, 1] = -y
+    rows = rows[:-1]
     # A few rows at a time, the residual is taken through the action of U.
     residual = 0.0
-    for top in range(0, size, 64):
+    for top in range(0, keep.size, 64):
         chunk = rows[top : top + 64]
         moved = _apply(cols, vals, chunk)
-        moved -= chunk * np.exp(-1j * energies[top : top + 64, None])
+        moved -= chunk * np.exp(-1j * energies[keep[top : top + 64], None])
         moved = moved.view(float)
         residual = max(residual, float(np.sqrt(np.einsum("ij,ij->i", moved, moved).max())))
-    if residual > _RESIDUAL_GUARD:
-        raise RuntimeError(f"eigensolver failure: eigen-residual {residual:.2e} exceeds {_RESIDUAL_GUARD}")
-    return energies, rows.T, residual
+    _guard(residual)
+    return rows.T
 
 
 def diagonalize(profile: CoinProfile) -> SpectralResult:
@@ -390,22 +538,19 @@ def diagonalize(profile: CoinProfile) -> SpectralResult:
 
     Solved in real arithmetic (see the module docstring); E = -arg(lambda)
     lies in (-pi, pi].  Rings above ``SIZE_CAP`` sites raise ``ValueError``;
-    an eigen-residual above 1e-10 raises ``RuntimeError``.
+    an eigen-residual above 1e-10 raises ``RuntimeError``.  The eigenvectors
+    are built on first read of ``vectors``, or a few by ``columns``.
     """
     if profile.length > SIZE_CAP:
         raise ValueError(f"ring size {profile.length} exceeds the dense-solver cap {SIZE_CAP}")
-    energies, vectors, _ = _eig_orthogonal(*_coin_shift(profile), _chiral_frame(profile.angles))
-    prob = np.square(vectors.real)
-    prob += np.square(vectors.imag)
-    site_prob = prob[0::2] + prob[1::2]
-    del prob
-    ipr = np.einsum("ij,ij->j", site_prob, site_prob)
+    energies, ipr, _, columns = _eig_orthogonal(*_coin_shift(profile), _chiral_frame(profile.angles))
     return SpectralResult(
         quasi_energies=energies,
-        vectors=vectors,
+        vectors=None,
         ipr=ipr,
         length=profile.length,
         indices=np.arange(energies.size),
+        _build=columns,
     )
 
 
@@ -435,7 +580,7 @@ def find_bound_states(
         keep = localized[dist <= dist.min() + 1e-6]
     return SpectralResult(
         quasi_energies=result.quasi_energies[keep],
-        vectors=result.vectors[:, keep],
+        vectors=result.columns(keep),
         ipr=result.ipr[keep],
         length=result.length,
         indices=result.indices[keep],
@@ -542,7 +687,7 @@ def oracle_compare(
     sel = np.nonzero(circle_distance(result.quasi_energies, analytic.energy) < 1e-6)[0]
     if sel.size == 0:
         raise RuntimeError("no eigenvector matches the analytic quasi-energy")
-    basis, _ = np.linalg.qr(result.vectors[:, sel])
+    basis, _ = np.linalg.qr(result.columns(sel))
     overlaps = basis.conj().T @ analytic.wavefunction.amplitudes
     return float(np.real(np.vdot(overlaps, overlaps)))
 

@@ -308,6 +308,12 @@ class TestAntisymmetricMode:
         with pytest.raises(ValueError):
             antisymmetric_mode(np.pi / 4, np.pi / 3, 0.0, 8, 64)
 
+    def test_overflowing_weight_raises(self):
+        # (kappa1 - kappa2)(N+1) ~ 2490 puts C = -sin(theta2) e^{(kappa1 - kappa2)(N+1)}
+        # beyond float64: an explicit error, not C = -inf after an overflow warning
+        with pytest.raises(ValueError, match="overflows float64"):
+            antisymmetric_mode(-1.5707, 0.02, 0.0, 250, 512)
+
     def test_coefficients_span_boundary_condition_nullspace(self):
         # Independent route: build the 4x4 matching system of the block
         # ansatz by hand and compare its SVD nullspace with the closed-form

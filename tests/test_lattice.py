@@ -291,6 +291,19 @@ class TestBuildProfile:
         with pytest.raises(ValueError):
             CoinProfile(np.array([0.1, -3.5]))
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf, np.pi + 2e-12, -np.pi - 2e-12])
+    def test_one_angle_range_rule(self, theta):
+        # a scalar angle and a profile's angle array are held to one rule, each with its own message
+        with pytest.raises(ValueError, match="coin angle must lie in"):
+            build_profile("uniform", 8, theta)
+        with pytest.raises(ValueError, match="all coin angles must be finite"):
+            CoinProfile(np.array([0.1, theta]))
+
+    @pytest.mark.parametrize("theta", [np.pi, -np.pi, np.pi + 1e-13, -np.pi - 1e-13])
+    def test_angle_range_edges_accepted(self, theta):
+        assert build_profile("uniform", 8, theta).angles[0] == theta
+        assert CoinProfile(np.array([0.1, theta])).angles[1] == theta
+
 
 class TestReflectingBlocks:
     def test_two_blocks_confine_probability(self):

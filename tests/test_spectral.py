@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -129,7 +132,8 @@ class TestDiagonalize:
 
     def test_misplaced_cluster_split_raises(self, monkeypatch):
         # with every cos E its own cluster, each +/-E pair is taken for two
-        # real eigenvectors; the eigen-residual guard must reject that
+        # real eigenvectors; the eigen-residual guard must reject that in
+        # diagonalize itself, before any vector is read
         monkeypatch.setattr(spectral, "_CLUSTER_GAP", -1.0)
         with pytest.raises(RuntimeError, match="eigen-residual"):
             diagonalize(build_profile("uniform", 16, np.pi / 4))
@@ -413,6 +417,85 @@ def test_odd_ring_takes_eigh(profile, monkeypatch):
     assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh((mat + mat.T) / 2))) <= 1e-13
 
 
+# even and odd rings; clusters of tens of members (near-reflecting coins),
+# reflecting walls, same-sector clusters (theta = 0) and unresolved pairs
+# (the antisymmetric ring's E = 0, pi modes)
+ASSEMBLY_PROFILES = [
+    build_profile("symmetric", 64, -0.6 * np.pi, 0.3 * np.pi, wire_length=6),
+    build_profile("symmetric", 65, -0.6 * np.pi, 0.3 * np.pi, wire_length=6),
+    build_profile("symmetric", 128, 0.501 * np.pi, -0.475 * np.pi, wire_length=5),
+    build_profile("symmetric", 129, 0.501 * np.pi, -0.475 * np.pi, wire_length=5),
+    build_profile("wire", 64, -0.5 * np.pi, 0.3 * np.pi, wire_length=6),
+    build_profile("antisymmetric", 256, -0.3 * np.pi, 0.35 * np.pi, wire_length=8),
+    build_profile("uniform", 64, 0.0),
+    build_profile("uniform", 33, 0.0),
+]
+
+
+@pytest.mark.parametrize("profile", ASSEMBLY_PROFILES)
+def test_column_subsets_match_full_vectors(profile):
+    # a subset is built from its own clusters alone, before and without the
+    # full matrix, and equals the full matrix's columns; every column passes
+    # the residual guard through U's entries
+    rng = np.random.default_rng(profile.length)
+    keep = rng.choice(2 * profile.length, size=9, replace=False)
+    subset = diagonalize(profile).columns(keep)
+    bound = find_bound_states(diagonalize(profile), 0.0)
+    result = diagonalize(profile)
+    full = result.vectors
+    assert np.max(np.abs(subset - full[:, keep])) <= 1e-15
+    assert np.max(np.abs(bound.vectors - full[:, bound.indices]), initial=0.0) <= 1e-15
+    cols, vals = spectral._coin_shift(profile)
+    moved = spectral._apply(cols, vals, full.T) - full.T * np.exp(-1j * result.quasi_energies)[:, None]
+    assert np.max(np.linalg.norm(moved, axis=1)) <= spectral._RESIDUAL_GUARD
+    assert np.max(np.abs(np.linalg.norm(full, axis=0) - 1)) <= 1e-13
+
+
+def test_lazy_result_stays_a_frozen_dataclass():
+    # vectors of a diagonalize result are built on first read, and the result
+    # keeps its dataclass behavior; a position kept twice is built once
+    result = diagonalize(build_profile("uniform", 16, 0.3 * np.pi))
+    keep = np.array([5, 3, 3])
+    subset = result.columns(keep)
+    assert np.array_equal(subset[:, 1], subset[:, 2])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.length = 8
+    assert "vectors" in [f.name for f in dataclasses.fields(result)]
+    assert np.max(np.abs(result.vectors[:, keep] - subset)) <= 1e-15
+    assert dataclasses.replace(result).vectors is result.vectors
+    assert result.columns([3]).shape == (32, 1)
+
+
+def test_unresolved_pair_keeps_boundary_modes_apart():
+    # the antisymmetric ring's E = 0 modes at the jump and at the seam (and its
+    # E = pi modes) are split far below rounding, so each sector's vector is one
+    # boundary's mode: combined as (p +/- iq)/sqrt(2) they would spread over
+    # both boundaries, with half the IPR
+    length = 256
+    result = diagonalize(build_profile("antisymmetric", length, -0.3 * np.pi, 0.35 * np.pi, wire_length=8))
+    for target in (0.0, np.pi):
+        sub = find_bound_states(result, target)
+        assert sub.count == 2
+        assert np.all(sub.ipr > 0.3)
+        prob = (np.abs(sub.vectors) ** 2).reshape(length, 2, -1).sum(axis=1)
+        offset = (np.arange(length)[:, None] - prob.argmax(axis=0) + length // 2) % length - length // 2
+        assert np.all((prob * (np.abs(offset) <= 64)).sum(axis=0) >= 0.99)
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "antisymmetric", "wire", "single"])
+def test_diagonalize_peak_memory_below_one_complex_matrix(kind):
+    # the eigenvectors are built only when read, so the solve never holds a
+    # complex (2L)^2 array: 16 MiB at L = 512
+    profile = build_profile(kind, 512, -0.5 * np.pi, 0.3 * np.pi, wire_length=8)
+    tracemalloc.start()
+    try:
+        diagonalize(profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_planted_spectrum_across_cluster_threshold():
     # eigenvalue pairs whose cos E differ by just under and just over the
     # clustering gap, near E = 0, pi/2 and pi and in between, plus exact
@@ -424,19 +507,25 @@ def test_planted_spectrum_across_cluster_threshold():
             angles += [base, np.arccos(np.clip(np.cos(base) - step_size, -1.0, 1.0))]
     angles += [0.9, 0.9, 0.9, 1.3]
     blocks = [np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]]) for a in angles]
-    size = 2 * len(angles) + 3
+    size = 2 * len(angles) + 4
     rotation = np.zeros((size, size))
     for i, block in enumerate(blocks):
         rotation[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = block
-    rotation[-3:, -3:] = np.diag([1.0, 1.0, -1.0])
+    rotation[-4:, -4:] = np.diag([1.0, 1.0, -1.0, -1.0])
+    # Gamma = diag(1, -1, 1, -1, ...) has Gamma R Gamma = R^T for every block;
+    # a random rotation of each of its eigenspaces keeps that and mixes all rows
     rng = np.random.default_rng(60)
-    frame, _ = np.linalg.qr(rng.normal(size=(size, size)))
-    mat = frame @ rotation @ frame.T
+    mix = np.zeros((size, size))
+    for sector in (0, 1):
+        mix[sector::2, sector::2] = np.linalg.qr(rng.normal(size=(size // 2, size // 2)))[0]
+    mat = mix @ rotation @ mix.T
 
     cols = np.broadcast_to(np.arange(size), mat.shape)
-    # a trivial frame, one sector of one row per site, splits nothing
-    energies, vectors, residual = spectral._eig_orthogonal(cols, mat, np.ones((size, 1, 1)))
-    planted = np.concatenate([angles, -np.asarray(angles), [0.0, 0.0, np.pi]])
+    # the chiral frame of Gamma: every pair of rows is a site, its rows the two sectors
+    frame = np.tile(np.eye(2), (size // 2, 1, 1))
+    energies, _, residual, columns = spectral._eig_orthogonal(cols, mat, frame)
+    vectors = columns(np.arange(size))
+    planted = np.concatenate([angles, -np.asarray(angles), [0.0, 0.0, np.pi, np.pi]])
     assert match_energies(energies, planted)[1] < 1e-12
     assert np.all(np.diff(energies) >= 0)
     assert residual <= 1e-10
