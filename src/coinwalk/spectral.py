@@ -14,33 +14,41 @@ arithmetic, with numpy alone:
 2. The symmetric part (U + U^T)/2, whose eigenvalues are cos E, is split
    by the walk's chiral symmetry: the site-local reflection Gamma_n =
    [[-sin, cos], [cos, sin]] of each coin satisfies Gamma U Gamma = U^T, so
-   in the frame of each site's two Gamma_n eigenvectors (the sectors) the
-   symmetric part has no entries between sectors.  Each sector's
-   periodic tridiagonal block is built from U's entries alone, and the
-   components of both are diagonalized by ``np.linalg.eigh``, components
-   of one size in one batched call; the eigenvectors are rotated back into
-   U's rows as they are written.  On an even ring, where U's nonzero
-   entries all join sites of opposite parity, U^2 splits over the two
-   sublattices: steps 1-4 then act on its even-site block M = U_eo U_oe,
-   half the size of U, with eigenvalues exp(-2iE) and Gamma_e M Gamma_e =
-   M^T for the even sites' reflections, and each eigenpair of M gives two
-   eigenpairs of U, at E and E + pi.
-3. Eigenvalues of equal cos E (gap below ``_CLUSTER_GAP``) form a
-   cluster spanning an invariant subspace of U; a generic +/-E pair is a
-   cluster of two, one member from each sector, so cos E is sorted within
-   groups: U's components, joined over every site whose frame mixes them.
-   A pair's real sector vectors p and q give its eigenvectors
-   (p +/- iq)/sqrt(2) without a solve.  Every other cluster, and a pair
-   whose |sin E| is at most ``_PAIR_FLOOR`` (its splitting unresolved, as
-   for the E = 0, pi modes of two far-apart boundaries), is resolved by a
-   batched small ``eigh`` of U restricted to it, which the chiral symmetry
-   makes real: every eigenvector is p + iq with p in one sector and q in
-   the other, so the solve and the vectors need no complex arithmetic.
-4. E is read from the angle of the Rayleigh quotient v^H U v, which is
-   accurate at E = 0 and pi where arccos(cos E) is not; for a pair it
-   comes from p, q and their images under U in real arithmetic, as do the
-   pair's IPR and eigen-residual.  No complex eigenvector is formed for a
-   pair until it is read.
+   in the frame W of each site's two Gamma_n eigenvectors (the sectors)
+   W^T U W = [[A0, C], [-C^T, A1]] with A0 and A1 symmetric, and the
+   symmetric part is diag(A0, A1).  Only sector 1's periodic tridiagonal
+   block A1 is built, from U's entries alone, and its components are
+   diagonalized by ``np.linalg.eigh``, components of one size in one
+   batched call; the eigenvectors are rotated back into U's rows as they
+   are written.  On an even ring, where U's nonzero entries all join sites
+   of opposite parity, U^2 splits over the two sublattices: steps 1-4 then
+   act on its even-site block M = U_eo U_oe, half the size of U, with
+   eigenvalues exp(-2iE) and Gamma_e M Gamma_e = M^T for the even sites'
+   reflections, and each eigenpair of M gives two eigenpairs of U, at E
+   and E + pi.
+3. Orthogonality gives A0 C = C A1 and C^T C = 1 - A1^2, so an eigenvector
+   q of A1 at cos E has a sector-0 part of U q of norm sigma = |sin E|, and
+   p = P0 U q / sigma is A0's eigenvector at the same cos E: the pair's
+   eigenvectors are (p +/- iq)/sqrt(2), exact even where cos E is
+   degenerate.  Only pairs with sigma above ``_PAIR_FLOOR`` are formed this
+   way.  The rest lie near E = 0 and pi: the unpaired q's, and as many of
+   A0's eigenvectors orthogonal to every p, from pivoted Cholesky on the
+   complement and a Rayleigh-Ritz ``eigh`` of A0 on it.  Their eigenvalues
+   of equal cos E (gap below ``_CLUSTER_GAP``), sorted within groups (U's
+   components, joined over every site whose frame mixes them), form
+   clusters spanning invariant subspaces of U, each resolved by a batched
+   small ``eigh`` of U restricted to it, which the chiral symmetry makes
+   real: every eigenvector is p + iq with p in one sector and q in the
+   other, so the solve and the vectors need no complex arithmetic.  A
+   coupling within rounding is dropped there, so the E = 0, pi modes of two
+   far-apart boundaries, whose splitting is unresolved, stay one mode per
+   boundary.
+4. A pair's E is -atan2(sigma, cos E), from the map's norm and A1's
+   eigenvalue, and a cluster's E the angle of its Rayleigh quotient
+   v^H U v, both accurate at E = 0 and pi where arccos(cos E) is not.
+   The IPR and the eigen-residual come from the real and imaginary parts
+   of v and their images under U in real arithmetic; no complex
+   eigenvector is formed until it is read.
 
 A largest eigen-residual ||Uv - e^{-iE} v|| above 1e-10, taken through
 the action of U's entries (on an even ring, U_oe and then U_eo) on every
@@ -72,13 +80,15 @@ SIZE_CAP = 512
 
 # Eigenvector error of eigh across a cluster boundary is ~ eps ||U|| / gap,
 # which this gap keeps near 2e-12, well below the residual guard.  It applies
-# to the sector blocks' eigenvalues taken together, sorted within a group;
-# on an even ring these are the eigenvalues cos 2E of U^2's block.
+# to the eigenvalues left unpaired by the partner map, both sectors' taken
+# together, sorted within a group; on an even ring these are the eigenvalues
+# cos 2E of U^2's block.
 _CLUSTER_GAP = 1e-4
-# A +/-E pair whose |sin E| is at most this floor is not split in the sector
-# basis: like the E = 0, pi modes of two far-apart boundaries, each sector's
-# vector is an eigenvector to rounding, and (p +/- iq)/sqrt(2) would mix them.
-_PAIR_FLOOR = 1e-6
+# A sector-1 eigenvector q gives its sector-0 partner p = P0 X q / sigma,
+# sigma = |sin E|, only above this floor: the pair's residual grows like
+# eps / sigma and the orthonormality error of the p's like eps / sigma^2
+# (2e-12 at this floor).  Vectors below it are left to the clusters.
+_PAIR_FLOOR = 1e-2
 _RESIDUAL_GUARD = 1e-10
 
 
@@ -151,9 +161,9 @@ class SpectralResult:
         return self._build(positions)[:, inverse]
 
 
-def _apply(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """U applied to every row of ``rows``, for U[i, cols[i, j]] = vals[i, j]."""
-    out = np.empty(rows.shape, dtype=rows.dtype)
+def _apply(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
+    """U applied to every row of ``rows``, for U[i, cols[i, j]] = vals[i, j], written into ``out`` when given."""
+    out = np.empty(rows.shape, dtype=rows.dtype) if out is None else out
     for top in range(0, len(rows), 64):  # a few rows at a time stay in cache
         chunk, total = rows[top : top + 64], out[top : top + 64]
         np.multiply(np.take(chunk, cols[:, 0], axis=1), vals[:, 0], out=total)
@@ -184,61 +194,78 @@ def _components(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.unique(root, return_inverse=True)[1]
 
 
+def _symmetric_blocks(cols: np.ndarray, vals: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Dense blocks of (X + X^T)/2 on the nodes of each row of ``nodes`` (count, w), in that order.
+
+    X is given by its entries X[i, cols[i, j]] = vals[i, j]; every nonzero
+    entry of a row in nodes[k] points to a node of nodes[k] (a zero entry
+    may point anywhere), and entries of one row that share a column are
+    summed.
+    """
+    count, w = nodes.shape
+    place = np.zeros(len(cols), dtype=int)
+    place[nodes] = np.arange(w)
+    entry = vals[nodes]
+    block, row, j = np.nonzero(entry)
+    col = place[cols[nodes[block, row], j]]
+    entry = entry[block, row, j]
+    stack = np.zeros((count, w, w))
+    np.add.at(stack, (block, row, col), entry)
+    np.add.at(stack, (block, col, row), entry)
+    stack *= 0.5
+    return stack
+
+
 def _block_eigh(
-    cols: np.ndarray, vals: np.ndarray, members: np.ndarray, sizes: np.ndarray, frame: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of (X + X^T)/2 for the sector blocks X, written back in the frame's rows.
+    cols: np.ndarray, vals: np.ndarray, members: np.ndarray, sizes: np.ndarray, frame: np.ndarray, basis: np.ndarray
+) -> np.ndarray:
+    """Eigenpairs of (X + X^T)/2 for some sector blocks X, written back in the frame's rows.
 
     X is given by its entries X[i, cols[i, j]] = vals[i, j] on nodes
-    s * sites + p, sector s of site p of ``frame`` (sites, d, d); taken in
-    the order ``members``, its rows and columns form diagonal blocks of the
-    sizes listed in ``sizes``, equal sizes adjacent.  Entries of one row
-    that share a column are summed.  Each run of equal blocks takes one
-    batched ``np.linalg.eigh``.  Returns the eigenvalues, sorted within
-    each block, and the eigenvectors as rows over the frame's rows, row
-    p * d + c weighted by frame[p, c, s].
+    s * sites + p, sector s of site p of ``frame`` (sites, d, d).  The
+    nodes ``members`` are whole connected components of X, all of them or
+    only one sector's; taken in that order, their rows and columns form
+    diagonal blocks of the sizes listed in ``sizes``, equal sizes adjacent.
+    Each run of equal blocks takes one batched ``np.linalg.eigh``.  Returns
+    the eigenvalues, sorted within each block, and writes the eigenvectors
+    as rows over the frame's rows, row p * d + c weighted by frame[p, c, s],
+    into the zeroed (len(members), sites * d) array ``basis``.
     """
-    size = len(cols)
     sites, d = frame.shape[:2]
-    weight = frame.reshape(size, d)
-    place = np.argsort(members)
-    cols, vals = place[cols[members]], vals[members]
-    values, basis = np.empty(size), np.zeros((size, size))  # basis[row, eigenvalue]
+    weight = frame.reshape(sites * d, d)
+    values = np.empty(len(members))
     top = 0
     for block, count in zip(*np.unique(sizes, return_counts=True)):
         end = top + block * count
-        linked = vals[top:end] != 0  # a zero entry may point into another block
-        row = np.nonzero(linked)[0]
-        col = cols[top:end][linked] - top
-        entry = vals[top:end][linked]
-        stack = np.zeros((count, block, block))
-        np.add.at(stack, (row // block, row % block, col % block), entry)
-        np.add.at(stack, (row // block, col % block, row % block), entry)
-        stack *= 0.5
+        stack = _symmetric_blocks(cols, vals, members[top:end].reshape(count, block))
         eigenvalues, vectors = np.linalg.eigh(stack)
         del stack
         values[top:end] = eigenvalues.ravel()
-        # node a of block k is written to the rows of its site, a contiguous run of eigenvalues each
+        # node a of block k is written to the rows of its site, a few eigenvalues at a time,
+        # into a (row, block, eigenvalue) array whose transpose gives whole rows of the basis
         sector, site = np.divmod(members[top:end].reshape(count, block), sites)
-        run = basis[:, top:end].reshape(size, count, block)
-        for part in range(d):
-            rows = site * d + part
-            run[rows, np.arange(count)[:, None]] = vectors * weight[rows, sector][:, :, None]
+        slots = np.arange(top, end).reshape(count, block)
+        for first in range(0, block, 64):
+            chunk = vectors[:, :, first : first + 64]
+            run = np.zeros((sites * d, count, chunk.shape[2]))
+            for part in range(d):
+                rows = site * d + part
+                run[rows, np.arange(count)[:, None]] = chunk * weight[rows, sector][:, :, None]
+            basis[slots[:, first : first + 64].ravel()] = run.reshape(sites * d, -1).T
         top = end
-    return values, basis.T
+    return values
 
 
-def _resolve_clusters(cols, vals, q, cos_e, sector):
+def _resolve_clusters(upper, cos_e, sector):
     """Eigenpairs of U restricted to k clusters of m members each.
 
-    U is given by its entries U[i, cols[i, j]] = vals[i, j]; ``q`` holds
-    the clusters' eigenvectors of (U + U^T)/2 as rows, shape (k, m, n),
-    ``cos_e`` their eigenvalues and ``sector`` their chiral sectors, 0 or
-    1, both with shape (k, m).  In a cluster's basis Q,
-    G = Q^T U Q = diag(cos E) + A with A = Q^T K Q and K = (U - U^T)/2.
-    A is antisymmetric and equals G off the diagonal, so it is built from
-    the strict upper triangle of G, for which U acts only on members
-    1..m-1 of each cluster.  Each cluster is solved through the Hermitian
+    The clusters' members are eigenvectors q of (U + U^T)/2, with
+    eigenvalues ``cos_e`` and chiral sectors ``sector``, 0 or 1, both with
+    shape (k, m); ``upper`` holds the strict upper triangles of their
+    matrices G = Q^T U Q, shape (k, m, m), and is overwritten.  In a
+    cluster's basis Q, G = diag(cos E) + A with A = Q^T K Q and
+    K = (U - U^T)/2, so A is antisymmetric and equals G off the diagonal.
+    Each cluster is solved through the Hermitian
     part H of e^{i phi} G, whose eigenvalues mu = cos(E - phi) separate
     every distinct lambda of the cluster for phi = pi/2 (|cos E| > 1/2) or
     pi/4; a +/-E pair is the 2 x 2 case.  Since Gamma U Gamma = U^T, A has
@@ -251,12 +278,10 @@ def _resolve_clusters(cols, vals, q, cos_e, sector):
     real coefficients z: the eigenvector is sum_j z_j q_j over the sector-0
     members plus i times that sum over the sector-1 members.
     """
-    upper = np.zeros(cos_e.shape + cos_e.shape[1:])  # G's strict upper triangle
-    for top in range(1, q.shape[1], 256):  # few temporaries for a large cluster
-        part = np.ascontiguousarray(q[:, top : top + 256])
-        image = _apply(cols, vals, part.reshape(-1, q.shape[2])).reshape(part.shape)
-        upper[:, :, top : top + 256] = np.triu(q @ image.transpose(0, 2, 1), 1 - top)
-        del part, image
+    # A coupling within G's rounding is dropped: each member is then an eigenvector
+    # to eps, and a pair whose splitting is unresolved (the E = 0, pi modes of two
+    # far-apart boundaries) keeps one boundary's mode per sector vector.
+    upper[np.abs(upper) <= np.finfo(float).eps] = 0.0
     phase = np.where(np.abs(cos_e[:, 0]) > 0.5, np.pi / 2, np.pi / 4)
     # The upper triangle of T^H H T, read by eigh as the lower one of its transpose.
     side = sector.astype(np.int8)
@@ -308,139 +333,255 @@ def _sectors(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
     )
 
 
-def _measure(factors, rows: np.ndarray, d: int, energies=None):
-    """E, IPR and eigen-residual of unit vectors x = rows[:, 0] + i rows[:, 1] of X = ... F2 F1.
+def _images(factors, rows: np.ndarray) -> np.ndarray:
+    """Rows x and their images F1 x, F2 F1 x, ... side by side, (len(rows), len(factors) + 1, n).
 
-    ``factors`` holds the entries (cols, vals) of F1, F2, ..., applied in
-    that order, in real arithmetic.  x and its images under every factor
-    but the last share x's unit weight equally, over sites of d rows each:
-    on an even ring x and U_oe x are the two halves of U's eigenvector
-    lifted from M = U_eo U_oe.  E = -arg(x^H X x), the angle of the
-    Rayleigh quotient, unless ``energies`` are given; the residual is
-    ||X x - e^{-iE} x||.
+    ``factors`` holds the entries (cols, vals) of F1, F2, ... (see ``_apply``).
     """
-    count, _, n = rows.shape
-    stages = [rows]
-    for cols, vals in factors:
-        stages.append(_apply(cols, vals, stages[-1].reshape(-1, n)).reshape(rows.shape))
-    image = stages.pop()
-    ipr = np.zeros(count)
-    for stage in stages:
-        prob = np.einsum("kci,kci->ki", stage, stage).reshape(count, -1, d) @ np.ones(d)  # a fast sum over d
-        ipr += np.einsum("ks,ks->k", prob, prob)
-    ipr /= len(stages) ** 2
-    re, im = rows[:, 0], rows[:, 1]
-    if energies is None:
-        energies = np.arctan2(
-            np.einsum("ki,ki->k", im, image[:, 0]) - np.einsum("ki,ki->k", re, image[:, 1]),
-            np.einsum("ki,ki->k", re, image[:, 0]) + np.einsum("ki,ki->k", im, image[:, 1]),
-        )
+    images = np.empty((len(rows), len(factors) + 1, rows.shape[1]))
+    images[:, 0] = rows
+    for stage, (cols, vals) in enumerate(factors):
+        _apply(cols, vals, images[:, stage], out=images[:, stage + 1])
+    return images
+
+
+def _measure(re: np.ndarray, im, d: int, energies: np.ndarray):
+    """IPR and eigen-residual of unit vectors x = re[:, 0] + i im[:, 0] of X = ... F2 F1 at E, from their ``_images``.
+
+    Each row of x is one vector, real when ``im`` is None.  x and its images
+    under every factor but the last share x's unit weight equally, over
+    sites of d rows each: on an even ring x and U_oe x are the two halves of
+    U's eigenvector lifted from M = U_eo U_oe.  The residual is
+    ||X x - e^{-iE} x||, for the ``energies`` E; the last images are
+    overwritten.
+    """
+    count, stages = re.shape[:2]
+    square = np.square(re[:, :-1])
+    if im is not None:
+        square += np.square(im[:, :-1])
+    prob = square.reshape(count, -1, d) @ np.ones(d)  # a fast sum over d
+    ipr = np.einsum("ks,ks->k", prob, prob) / (stages - 1) ** 2
     cos_e, sin_e = np.cos(energies)[:, None], np.sin(energies)[:, None]
-    image[:, 0] -= cos_e * re + sin_e * im
-    image[:, 1] -= cos_e * im - sin_e * re
-    return energies, ipr, np.sqrt(np.einsum("kci,kci->k", image, image))
+    a, image_a = re[:, 0], re[:, -1]
+    image_a -= cos_e * a
+    if im is None:  # X x - e^{-iE} x = (X x - cos E x) + i sin E x
+        return ipr, np.sqrt(np.einsum("ki,ki->k", image_a, image_a) + sin_e[:, 0] ** 2 * np.einsum("ki,ki->k", a, a))
+    b, image_b = im[:, 0], im[:, -1]
+    image_a -= sin_e * b
+    image_b -= cos_e * b - sin_e * a
+    return ipr, np.sqrt(np.einsum("ki,ki->k", image_a, image_a) + np.einsum("ki,ki->k", image_b, image_b))
 
 
-def _cluster_vectors(span: np.ndarray, q: np.ndarray, coeffs: np.ndarray, sector: np.ndarray, clusters):
+def _combine(coeffs: np.ndarray, sector: np.ndarray, rows: np.ndarray) -> list:
+    """Real and imaginary parts of sum_j coeffs[k, j, i] rows[k, j] i^sector[k, j], each as (k * i, n) rows."""
+    return [
+        (np.where(sector[:, :, None] == part, coeffs, 0.0).transpose(0, 2, 1) @ rows).reshape(-1, rows.shape[2])
+        for part in (0, 1)
+    ]
+
+
+def _cluster_vectors(span: np.ndarray, basis: np.ndarray, index: np.ndarray, coeffs, sector, clusters):
     """Vectors sum_j coeffs[k, j, i] q[k, j] i^sector[k, j] of the members i of ``clusters`` k, 64 at a time.
 
-    Yields the members' eigenpairs span[k, i] and their vectors as (2, n)
-    rows of real and imaginary parts, both in the order (k, i).
+    q[k, j] is row index[k, j] of ``basis``.  Yields the members'
+    eigenpairs span[k, i] and the real and imaginary parts of their vectors
+    as rows, all in the order (k, i).
     """
     step = max(1, 64 // span.shape[1])  # clusters per chunk, of at most 64 members each
     for first in range(0, clusters.size, step):
         at = clusters[first : first + step]
-        basis = q[at]
+        q = basis[index[at]]
         for top in range(0, span.shape[1], 64):
-            block = coeffs[at, :, top : top + 64]
-            rows = np.empty((at.size, block.shape[2], 2, q.shape[2]))
-            for c in (0, 1):
-                part = np.where(sector[at][:, :, None] == c, block, 0.0)
-                rows[:, :, c] = part.transpose(0, 2, 1) @ basis
-            yield span[at, top : top + 64].ravel(), rows.reshape(-1, 2, q.shape[2])
+            yield span[at, top : top + 64].ravel(), *_combine(coeffs[at, :, top : top + 64], sector[at], q)
+
+
+def _complement(coef: np.ndarray, owner: np.ndarray, group: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """Eigenpairs of A = (X + X^T)/2 orthogonal to given eigenvectors, one group of sites at a time.
+
+    X is given by its entries X[i, cols[i, j]] = vals[i, j] over ``sites``
+    nodes, each in the group ``group[i]``; A has no entries between
+    groups.  The rows of ``coef`` (n, sites) are orthonormal eigenvectors
+    of A, each within its group ``owner``.  A group of w sites holding m of
+    them has a complement of r = w - m dimensions, spanned from the columns
+    of I - G G^T (G the group's given vectors, as columns) chosen by
+    pivoted Cholesky, which picks the largest remaining diagonal at each
+    step.  The r columns are projected off G twice, orthonormalized, and
+    rotated by a Rayleigh-Ritz ``eigh`` of A on them.  Groups of equal
+    (w, m) are solved together.  In exact arithmetic a remaining diagonal
+    of sum r - k has a largest entry of at least 1/w, so a pivot below
+    1/(2w), or a diagonal left above it after r steps, means the given
+    vectors are not orthonormal, and raises.  Returns the Ritz values, the
+    vectors as rows over sites, and their groups.
+    """
+    sites = len(group)
+    width = np.bincount(group)
+    taken = np.bincount(owner, minlength=width.size)
+    if np.any(taken > width):
+        raise RuntimeError("sector partners outnumber their sites")
+    by_site, by_row = np.argsort(group, kind="stable"), np.argsort(owner, kind="stable")
+    site_start, row_start = np.cumsum(width) - width, np.cumsum(taken) - taken
+    values, vectors, labels = [np.empty(0)], [np.empty((0, sites))], [np.empty(0, dtype=int)]
+    short = np.flatnonzero(taken < width)
+    # the plain np.unique would import numpy.ma, tens of ms on a first request
+    keys, inverse = np.unique(width[short] * (sites + 1) + taken[short], return_inverse=True)
+    for key, (w, m) in enumerate(zip(*np.divmod(keys, sites + 1))):
+        batch = short[inverse == key]
+        count, r, each = batch.size, w - m, np.arange(batch.size)
+        at = by_site[site_start[batch][:, None] + np.arange(w)]
+        g = coef[by_row[row_start[batch][:, None] + np.arange(m)][:, :, None], at[:, None, :]]
+        diag = 1.0 - np.einsum("kmi,kmi->ki", g, g)
+        start = np.zeros((count, r, w))
+        for k in range(r):
+            pick = diag.argmax(axis=1)
+            pivot = diag[each, pick]
+            if np.any(pivot < 0.5 / w):
+                raise RuntimeError(f"complement of rank below {r} in a group of {w} sites")
+            column = -np.einsum("kmi,km->ki", g, g[each, :, pick])
+            column[each, pick] += 1.0
+            column -= np.einsum("kti,kt->ki", start[:, :k], start[each, :k, pick])
+            start[:, k] = column / np.sqrt(pivot)[:, None]
+            diag -= start[:, k] ** 2
+        if np.any(diag > 0.5 / w):
+            raise RuntimeError(f"complement of rank above {r} in a group of {w} sites")
+        for _ in range(2):
+            start -= (start @ g.transpose(0, 2, 1)) @ g
+        start = np.linalg.qr(start.transpose(0, 2, 1))[0].transpose(0, 2, 1)
+        ritz = start @ _symmetric_blocks(cols, vals, at) @ start.transpose(0, 2, 1)
+        ritz_values, rotation = np.linalg.eigh(ritz)
+        rows = np.zeros((count * r, sites))
+        rows[np.arange(count * r)[:, None], np.repeat(at, r, axis=0)] = (rotation.transpose(0, 2, 1) @ start).reshape(-1, w)
+        values.append(ritz_values.ravel())
+        vectors.append(rows)
+        labels.append(np.repeat(batch, r))
+    return np.concatenate(values), np.concatenate(vectors), np.concatenate(labels)
+
+
+def _partner(image: np.ndarray, frame: np.ndarray):
+    """Sector-0 parts P0 X q of rows X q, as coefficients over the sector-0 frame vectors and as rows."""
+    sites, d = frame.shape[:2]
+    coef = np.einsum("kpc,pc->kp", image.reshape(-1, sites, d), frame[:, :, 0])
+    return coef, (coef[:, :, None] * frame[:, :, 0]).reshape(image.shape)
 
 
 def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
     """Unsorted eigenpairs of a real orthogonal matrix X, X[i, cols[i, j]] = vals[i, j].
 
     Row i lies on site i // d, component i % d, of ``frame`` (sites, d, d),
-    d = 2, whose columns at every site are the +1 and -1 eigenvectors of a site's
-    reflection Gamma with Gamma X Gamma = X^T: the two sectors, over which
-    (X + X^T)/2 is block-diagonal.  Each sector's block is built from
-    X's entries alone and solved on its own.  ``factors`` holds the entries
-    of matrices whose product is X (see ``_measure``).  A cluster of one
-    member p from one sector and one q from another is a +/-E pair, with
-    eigenvectors (p +/- iq)/sqrt(2) that are measured, never formed, in
-    real arithmetic; one whose |sin E| is at most ``_PAIR_FLOOR``, like
-    every other cluster, is solved by ``_resolve_clusters``.  Returns
-    E = -arg(lambda), the IPR and the largest eigen-residual of the
-    eigenvectors (see ``_measure``), and the solved clusters as a list of
-    (span, q, coeffs, side): the eigenvector of E[span[k, i]] is
-    sum_j coeffs[k, j, i] q[k, j] i^side[k, j], side the members' sectors.
+    d = 2, whose columns at every site are the +1 and -1 eigenvectors of a
+    site's reflection Gamma with Gamma X Gamma = X^T: the two sectors.  In
+    their frame W, W^T X W = [[A0, C], [-C^T, A1]] with A0, A1 symmetric,
+    and orthogonality gives A0 C = C A1 and C^T C = 1 - A1^2.  So only A1,
+    built from X's entries alone, is solved: for its unit eigenvector q at
+    cos E, sigma = ||P0 X q|| = |sin E| (P0 the sector-0 part, taken with
+    the site frames), and p = P0 X q / sigma is A0's eigenvector at the
+    same cos E, exact even within a degenerate cluster.  ``factors`` holds
+    the entries of matrices whose product is X (see ``_measure``).  For
+    sigma above ``_PAIR_FLOOR`` the pair's eigenvectors (p +/- iq)/sqrt(2)
+    are measured, never formed, in real arithmetic.  The rest, near
+    E = 0 and pi, are the vectors q with sigma at most the floor and A0's
+    eigenvectors orthogonal to every p (``_complement``), grouped by X's
+    components joined over every site whose frame mixes them: their
+    eigenvalues are sorted within groups, joined into clusters (gap below
+    ``_CLUSTER_GAP``), and each cluster is solved by ``_resolve_clusters``.
+    Returns E = -arg(lambda), the IPR and the largest eigen-residual of the
+    eigenvectors (see ``_measure``), the real ``basis`` whose rows are the
+    q's, the p's and A0's remaining eigenvectors, and the solved clusters
+    as a list of (span, index, coeffs, side): the eigenvector of
+    E[span[k, i]] is sum_j coeffs[k, j, i] basis[index[k, j]] i^side[k, j],
+    side the members' sectors.
     """
     sites, d = frame.shape[:2]
-    weight = frame.reshape(len(cols), d)
+    size = len(cols)
+    weight = frame.reshape(size, d)
     sector_cols, sector_vals = _sectors(cols, vals, frame)
     labels = _components(sector_cols, sector_vals)
     sizes = np.bincount(labels)
-    # Eigenvalues are kept in a node order sorted by component size, then
-    # component, where the components of one size are a run of equal
+    # Sector 1's nodes sites..2 sites - 1 in an order sorted by component size,
+    # then component, where the components of one size are a run of equal
     # diagonal blocks; the eigenvectors are rows over X's rows.
     members = np.lexsort((labels, sizes[labels]))
-    cos_e, basis = _block_eigh(sector_cols, sector_vals, members, np.sort(sizes), frame)
-    # A cluster pairs eigenvalues of different sectors, so cos E is sorted within
-    # groups: X's components joined with the rows of every site whose frame mixes them.
-    rows = np.arange(len(cols))
+    members = members[members >= sites]
+    # Rows of ``basis``: A1's eigenvectors q, then the p's, then A0's eigenvectors orthogonal to every p.
+    basis = np.zeros((2 * sites, size))
+    sizes_1 = np.bincount(labels[sites:])  # components never join the sectors
+    cos_e = _block_eigh(sector_cols, sector_vals, members, np.sort(sizes_1[sizes_1 > 0]), frame, basis[:sites])
+    # Groups: X's components joined with the rows of every site whose frame mixes them.
+    rows = np.arange(size)
     partner = rows - rows % d + (rows + 1) % d
     mixed = (weight * weight[partner]).any(axis=1)
     group = _components(np.column_stack([cols, partner]), np.column_stack([vals, mixed]))
-    sector, site = np.divmod(members, sites)
-    group = group[site * d + np.abs(frame).argmax(axis=1)[site, sector]]
-    order = np.lexsort((cos_e, group))
-    size = cos_e.size
-    starts = np.flatnonzero(
-        np.concatenate([[True], (np.diff(cos_e[order]) > _CLUSTER_GAP) | (np.diff(group[order]) != 0)])
-    )
-    counts = np.diff(np.append(starts, size))
-    # Clusters of one size are solved together; each batch takes a copy of
-    # its basis vectors, so the basis is freed before the first solve.
-    spans = [
-        order[starts[counts == count][:, None] + np.arange(count)]
-        for count in np.flatnonzero(np.bincount(counts))
-    ]
-    batches = [(span, basis[span]) for span in spans]
-    del basis
+    strongest = np.abs(frame).argmax(axis=1)  # (site, sector): the row each node is grouped by
+    site_group = group[np.arange(sites) * d + strongest[:, 0]]
+    q_group = group[(members - sites) * d + strongest[members - sites, 1]]
+    # sigma^2 = q^T C^T C q = 1 - cos^2 E, so the vectors q left unpaired are known
+    # before X is applied.  p = P0 X q / sigma is kept as a row and as coefficients over
+    # the sector-0 frame vectors; pair member 0 is (p + iq)/sqrt(2) at E and
+    # member 1 is (p - iq)/sqrt(2) at -E.
+    paired = (1 - cos_e) * (1 + cos_e) > _PAIR_FLOOR**2
+    keep, unpaired = np.flatnonzero(paired), np.flatnonzero(~paired)
+    coef = np.empty((keep.size, sites))
     energies, ipr, residual = np.empty(size), np.empty(size), 0.0
-    solved = []
-    for span, q in batches:
-        width = span.shape[1]
-        coeffs = np.empty((len(span), width, width))
-        pairs = np.arange(0)
-        side = sector[span]
-        # For p of sector 0 and q of sector 1, pair member 0 is (p + iq)/sqrt(2)
-        # at E and member 1 is (p - iq)/sqrt(2) at -E.
-        if width == 2:
-            pairs = np.flatnonzero(side[:, 0] != side[:, 1])
-            coeffs[pairs] = np.sqrt(0.5) * np.array([[1, 1], [1, -1]])
-        for top in range(0, pairs.size, 64):
-            at = pairs[top : top + 64]
-            p_q = np.take_along_axis(q[at], side[at, :, None], axis=1)
-            pair_e, ipr[span[at, 0]], found = _measure(factors, p_q * np.sqrt(0.5), d)
-            energies[span[at]] = pair_e[:, None] * [1, -1]
-            ipr[span[at, 1]] = ipr[span[at, 0]]
-            residual = max(residual, found.max())
-        rest = np.ones(len(span), dtype=bool)
-        rest[pairs] = np.abs(np.sin(energies[span[pairs, 0]])) <= _PAIR_FLOOR
-        rest = np.flatnonzero(rest)
-        if rest.size:
-            energies[span[rest]], coeffs[rest] = _resolve_clusters(
-                cols, vals, q if rest.size == len(q) else q[rest], cos_e[span[rest]], side[rest]
-            )
-            for slots, parts in _cluster_vectors(span, q, coeffs, side, rest):
-                _, ipr[slots], found = _measure(factors, parts, d, energies[slots])
-                residual = max(residual, found.max())
-        solved.append((span, q, coeffs, side))
-    return energies, ipr, residual, solved
+    span = np.arange(2 * keep.size).reshape(-1, 2)
+    for top in range(0, keep.size, 32):
+        chunk = keep[top : top + 32]
+        im = _images(factors, basis[chunk])
+        part, p = _partner(im[:, -1], frame)
+        sigma = np.sqrt(np.einsum("kp,kp->k", part, part))[:, None]
+        coef[top : top + 32] = part / sigma
+        np.divide(p, sigma, out=basis[sites + top : sites + top + chunk.size])
+        re = _images(factors, basis[sites + top : sites + top + chunk.size])
+        re *= np.sqrt(0.5)
+        im *= np.sqrt(0.5)
+        pair_e = -np.arctan2(sigma[:, 0], cos_e[chunk])  # (p + iq)/sqrt(2) has eigenvalue cos E + i sigma
+        pair_ipr, gap = _measure(re, im, d, pair_e)
+        energies[span[top : top + 32]] = pair_e[:, None] * [1, -1]
+        ipr[span[top : top + 32]] = pair_ipr[:, None]
+        residual = max(residual, gap.max())
+    solved = [
+        (
+            span,
+            np.column_stack([sites + np.arange(keep.size), keep]),
+            np.broadcast_to(np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]]), (keep.size, 2, 2)),
+            np.broadcast_to(np.array([0, 1]), (keep.size, 2)),
+        )
+    ]
+    # The rest: the unpaired q's and A0's complement, in clusters of equal cos E
+    # within a group, solved by size, 32 members at a time.
+    rest_e, rest_coef, rest_group = _complement(
+        coef, q_group[keep], site_group, sector_cols[:sites], sector_vals[:sites]
+    )
+    del coef
+    np.multiply(rest_coef[:, :, None], frame[:, :, 0], out=basis[sites + keep.size :].reshape(-1, sites, d))
+    rest_rows = np.concatenate([unpaired, np.arange(sites + keep.size, 2 * sites)])
+    rest_e = np.concatenate([cos_e[unpaired], rest_e])
+    rest_group = np.concatenate([q_group[unpaired], rest_group])
+    order = np.lexsort((rest_e, rest_group))
+    starts = np.flatnonzero(
+        np.concatenate([[order.size > 0], (np.diff(rest_e[order]) > _CLUSTER_GAP) | (np.diff(rest_group[order]) != 0)])
+    )
+    counts = np.diff(np.append(starts, order.size))
+    for count in np.flatnonzero(np.bincount(counts, minlength=1)):
+        at = order[starts[counts == count][:, None] + np.arange(count)]
+        index, side, span = rest_rows[at], (at < unpaired.size).astype(int), 2 * keep.size + at
+        step = max(1, 32 // count)  # clusters at a time: at most 32 members, or one larger cluster
+        parts = [slice(first, first + step) for first in range(0, len(at), step)]
+        upper = np.zeros((len(at), count, count))  # G's strict upper triangle, from members 1..m-1 moved by X
+        for part in parts if count > 1 else []:
+            q = basis[index[part]]
+            image = _apply(cols, vals, q[:, 1:].reshape(-1, size)).reshape(len(q), count - 1, size)
+            upper[part, :, 1:] = np.triu(q @ image.transpose(0, 2, 1))
+        energies[span], coeffs = _resolve_clusters(upper, rest_e[at], side)
+        for part in parts:
+            # the members' images under every factor, side by side, are combined in one product
+            stages = _images(factors, basis[index[part].ravel()]).reshape(index[part].shape + (-1,))
+            if count == 1:  # a member alone is its eigenvector up to the phase i^side: a real one
+                re, im = stages.reshape(-1, len(factors) + 1, size), None
+            else:
+                re, im = (x.reshape(-1, len(factors) + 1, size) for x in _combine(coeffs[part], side[part], stages))
+            ipr[span[part].ravel()], gap = _measure(re, im, d, energies[span[part]].ravel())
+            residual = max(residual, gap.max())
+        solved.append((span, index, coeffs, side))
+    return energies, ipr, residual, basis, solved
 
 
 def _guard(residual: float) -> None:
@@ -473,26 +614,27 @@ def _eig_orthogonal(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
     bipartite = not np.any((parity[cols] == parity[:, None]) & (vals != 0))
     if bipartite:
         two_cols, two_vals, oe, eo = _two_step(cols, vals)
-        phi, ipr, residual, solved = _eigenpairs(two_cols, two_vals, frame[::2], (oe, eo))
+        phi, ipr, residual, basis, solved = _eigenpairs(two_cols, two_vals, frame[::2], (oe, eo))
         energies = np.concatenate([phi / 2, phi / 2 + np.where(phi > 0, -np.pi, np.pi)])
         ipr, residual, lift = np.concatenate([ipr, ipr]), residual / np.sqrt(2), (oe, phi)
     else:
-        energies, ipr, residual, solved = _eigenpairs(cols, vals, frame, ((cols, vals),))
+        energies, ipr, residual, basis, solved = _eigenpairs(cols, vals, frame, ((cols, vals),))
         lift = None
     _guard(residual)
     energies[energies == -np.pi] = np.pi
     order = np.argsort(energies)
     energies = energies[order]
-    columns = functools.partial(_assemble, cols, vals, energies, order, solved, lift)
+    columns = functools.partial(_assemble, cols, vals, energies, order, basis, solved, lift)
     return energies, ipr[order], residual, columns
 
 
-def _assemble(cols, vals, energies, order, solved, lift, keep: np.ndarray) -> np.ndarray:
+def _assemble(cols, vals, energies, order, basis, solved, lift, keep: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of U at sorted positions ``keep``, as columns, guarded through U's entries.
 
     U[i, cols[i, j]] = vals[i, j] has the sorted ``energies``; ``order``
     maps them to the eigenpairs of the clusters ``solved`` by
-    ``_eigenpairs``, and only clusters with a kept member are combined.
+    ``_eigenpairs`` from the rows of its real ``basis``, and only clusters
+    with a kept member are combined.
     With ``lift`` = (U_oe's entries, phi), the clusters are those of
     M = U_eo U_oe, and the eigenpair M x = e^{-i phi} x is lifted to U's two
     eigenvectors (see ``_eig_orthogonal``); an eigenvector's rows are
@@ -503,13 +645,13 @@ def _assemble(cols, vals, energies, order, solved, lift, keep: np.ndarray) -> np
     column[order[keep]] = np.arange(keep.size)
     rows = np.empty((keep.size + 1, size), dtype=complex)
     sites = rows.reshape(keep.size + 1, -1, 2, 2) if lift else None  # (vector, site pair, parity, component)
-    for span, q, coeffs, side in solved:
+    for span, index, coeffs, side in solved:
         wanted = column[span] >= 0
         if lift:
             wanted |= column[span + size // 2] >= 0
-        for slots, parts in _cluster_vectors(span, q, coeffs, side, np.flatnonzero(wanted.any(axis=1))):
-            x = np.empty((len(parts), parts.shape[2]), dtype=complex)
-            x.real, x.imag = parts[:, 0], parts[:, 1]
+        for slots, re, im in _cluster_vectors(span, basis, index, coeffs, side, np.flatnonzero(wanted.any(axis=1))):
+            x = np.empty(re.shape, dtype=complex)
+            x.real, x.imag = re, im
             if not lift:
                 rows[column[slots]] = x
                 continue
@@ -567,17 +709,17 @@ def find_bound_states(
     Keeps states with IPR above the threshold (default 4/L) by more than a
     few ulps, so a state at the threshold up to rounding (the two-site
     states of an all-reflecting ring of 8 sites) is never kept, whatever its
-    last bits; among those, the cluster at minimal circle distance from the
-    target, so both members of a split pair are returned.  No localized
-    states is an empty result, not an error.
+    last bits, and nearer the target than the other one: a circle distance
+    below pi/2 - 1e-6, so the E = +/-pi/2 states of a reflecting exterior
+    are near neither.  Among those, the cluster at minimal circle distance
+    from the target is returned, so both members of a split pair are.  No
+    such states is an empty result, not an error.
     """
     threshold = 4.0 / result.length if ipr_threshold is None else float(ipr_threshold)
     localized = np.nonzero(result.ipr > threshold * (1 + 8 * np.finfo(float).eps))[0]
-    if localized.size == 0:
-        keep = localized
-    else:
-        dist = circle_distance(result.quasi_energies[localized], target)
-        keep = localized[dist <= dist.min() + 1e-6]
+    dist = circle_distance(result.quasi_energies[localized], target)
+    localized, dist = localized[dist < np.pi / 2 - 1e-6], dist[dist < np.pi / 2 - 1e-6]
+    keep = localized[dist <= dist.min(initial=np.inf) + 1e-6]
     return SpectralResult(
         quasi_energies=result.quasi_energies[keep],
         vectors=result.columns(keep),

@@ -345,6 +345,20 @@ class TestDiagonalizeCommand:
         assert payload["extras"]["localized_near_zero"] == 0
         assert payload["extras"]["localized_near_pi"] == 0
 
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            ["--kind", "single", "--theta1", "0.3", "--theta2", "0.5", "--n-sites", "16"],
+            ["--kind", "uniform", "--theta1", "0.5", "--n-sites", "64"],
+        ],
+        ids=["same-sign-single", "all-reflecting"],
+    )
+    def test_reflecting_flat_band_flags_nothing(self, capsys, layout):
+        # the E = +/-pi/2 states of reflecting coins lie pi/2 from both targets
+        _, payload = run_json(capsys, ["diagonalize", *layout])
+        assert payload["extras"]["localized_near_zero"] == 0
+        assert payload["extras"]["localized_near_pi"] == 0
+
     def test_antisymmetric_block_localizes_at_positive_end(self, capsys):
         # states flagged at E=0 sit at the +pi/2 block end (and the ring seam),
         # never at the -pi/2 end

@@ -131,12 +131,15 @@ class TestDiagonalize:
             diagonalize(build_profile("uniform", 600, 0.3))
 
     def test_misplaced_cluster_split_raises(self, monkeypatch):
-        # with every cos E its own cluster, each +/-E pair is taken for two
-        # real eigenvectors; the eigen-residual guard must reject that in
-        # diagonalize itself, before any vector is read
+        # the block's E = +/-0.0012 pairs (|sin 2E| below the pair floor) are
+        # clustered; with every cos E its own cluster, each pair is taken for
+        # two real eigenvectors, and the eigen-residual guard must reject that
+        # in diagonalize itself, before any vector is read
+        profile = build_profile("symmetric", 16, -np.pi / 4, np.pi / 4, wire_length=6)
+        assert np.min(np.abs(diagonalize(profile).quasi_energies)) > 1e-3
         monkeypatch.setattr(spectral, "_CLUSTER_GAP", -1.0)
         with pytest.raises(RuntimeError, match="eigen-residual"):
-            diagonalize(build_profile("uniform", 16, np.pi / 4))
+            diagonalize(profile)
 
 
 def eig_reference(profile):
@@ -343,7 +346,7 @@ def test_chiral_frame_of_reflecting_coins_is_exact():
 
 
 def block_eigh(profile, two_step=False):
-    """``spectral._block_eigh`` of the sectors of U, or of M = U_eo U_oe, in ``_eig_orthogonal``'s order."""
+    """``spectral._block_eigh`` of both sectors of U, or of M = U_eo U_oe, components ordered by size."""
     cols, vals = spectral._coin_shift(profile)
     frame = spectral._chiral_frame(profile.angles)
     if two_step:
@@ -352,7 +355,9 @@ def block_eigh(profile, two_step=False):
     cols, vals = spectral._sectors(cols, vals, frame)
     labels = spectral._components(cols, vals)
     sizes = np.bincount(labels)
-    return spectral._block_eigh(cols, vals, np.lexsort((labels, sizes[labels])), np.sort(sizes), frame)
+    rows = np.zeros((len(cols), len(cols)))
+    values = spectral._block_eigh(cols, vals, np.lexsort((labels, sizes[labels])), np.sort(sizes), frame, rows)
+    return values, rows
 
 
 @pytest.mark.parametrize(
@@ -482,18 +487,90 @@ def test_unresolved_pair_keeps_boundary_modes_apart():
         assert np.all((prob * (np.abs(offset) <= 64)).sum(axis=0) >= 0.99)
 
 
-@pytest.mark.parametrize("kind", ["symmetric", "antisymmetric", "wire", "single"])
-def test_diagonalize_peak_memory_below_one_complex_matrix(kind):
+@pytest.mark.parametrize(
+    "kind, length",
+    [pytest.param(kind, length, id=kind if length == 512 else f"{kind}-{length}")
+     for length in (512, 511) for kind in ("symmetric", "antisymmetric", "wire", "single")],
+)
+def test_diagonalize_peak_memory_below_one_complex_matrix(kind, length):
     # the eigenvectors are built only when read, so the solve never holds a
-    # complex (2L)^2 array: 16 MiB at L = 512
-    profile = build_profile(kind, 512, -0.5 * np.pi, 0.3 * np.pi, wire_length=8)
+    # complex (2L)^2 array: 16 MiB at L = 512; an odd ring solves U itself,
+    # and its real basis is held once
+    profile = build_profile(kind, length, -0.5 * np.pi, 0.3 * np.pi, wire_length=8)
     tracemalloc.start()
     try:
         diagonalize(profile)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 16 * (2 * length) ** 2
+
+
+@pytest.mark.parametrize("theta1", [-0.52, -0.525, -0.55])
+def test_near_flat_band_stays_out_of_clusters(theta1, monkeypatch):
+    # a near-reflecting exterior gives a band whose cos 2E chain into one
+    # cluster of up to 372 of M's 384 eigenvalues; the partner map pairs them
+    # exactly, and only the few near E = 0, pi are clustered
+    profile = build_profile("symmetric", 384, theta1 * np.pi, 0.7445 * np.pi, wire_length=10)
+    widths = []
+    resolve = spectral._resolve_clusters
+
+    def recording_resolve(upper, cos_e, sector):
+        widths.append(cos_e.shape[1])
+        return resolve(upper, cos_e, sector)
+
+    monkeypatch.setattr(spectral, "_resolve_clusters", recording_resolve)
+    result = diagonalize(profile)
+    assert max(widths) <= 32
+    reference = eig_reference(profile)
+    partner, energy_gap = match_energies(result.quasi_energies, reference.quasi_energies)
+    assert energy_gap <= 1e-12
+    spacing = circle_distance(result.quasi_energies[:, None], result.quasi_energies[None, :])
+    np.fill_diagonal(spacing, np.inf)
+    distinct = spacing.min(axis=1) > 0  # an exactly degenerate level has no preferred basis
+    assert np.max(np.abs(result.ipr[distinct] - reference.ipr[partner[distinct]])) <= 1e-10
+    for target in (0.0, np.pi):
+        assert find_bound_states(result, target).count == find_bound_states(reference, target).count
+
+
+def test_one_sector_eigh_on_even_ring(monkeypatch):
+    # only sector 1 of M = U_eo U_oe is diagonalized: one L/2-row eigh, and
+    # every other eigh (the complement's Ritz step, the clusters) is small
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(stack):
+        shapes.append(stack.shape)
+        return eigh(stack)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    for profile in (
+        build_profile("symmetric", 128, -0.3 * np.pi, 0.6 * np.pi, wire_length=8),
+        build_profile("antisymmetric", 128, -0.3 * np.pi, 0.35 * np.pi, wire_length=8),
+        build_profile("uniform", 128, 0.3 * np.pi),
+    ):
+        shapes.clear()
+        diagonalize(profile)
+        large = [shape for shape in shapes if shape[-1] > 32]
+        assert large == [(1, 64, 64)]
+
+
+@pytest.mark.parametrize("mutation", ["no projection", "flipped sign"])
+def test_partner_map_is_guarded(mutation, monkeypatch):
+    # p must be the sector-0 part of X q, with its sign: (p + iq)/sqrt(2) is
+    # given E = -atan2(sigma, cos E), so X q itself or -p makes a vector whose
+    # residual the guard rejects inside diagonalize, before any vector is read
+    profile = build_profile("symmetric", 64, -0.6 * np.pi, 0.3 * np.pi, wire_length=6)
+    diagonalize(profile)
+    partner = spectral._partner
+
+    def mutated(image, frame):
+        coef, rows = partner(image, frame)
+        return coef, image.copy() if mutation == "no projection" else -rows
+
+    monkeypatch.setattr(spectral, "_partner", mutated)
+    with pytest.raises(RuntimeError, match="eigen-residual"):
+        diagonalize(profile)
 
 
 def test_planted_spectrum_across_cluster_threshold():
