@@ -47,9 +47,9 @@ from .lattice import (
 )
 from .spectral import (
     SIZE_CAP,
+    _bound_positions,
     _splitting_fit,
     diagonalize,
-    find_bound_states,
     mode_residual,
     solve_wire_energy,
 )
@@ -363,9 +363,9 @@ def cmd_diagonalize(args) -> None:
     if args.ipr_threshold is not None and not 0 <= args.ipr_threshold < math.inf:
         raise UsageError("--ipr-threshold must be finite and non-negative")
     profile = _profile_from_args(args)
-    result = diagonalize(profile)
-    near_zero = find_bound_states(result, 0.0, args.ipr_threshold).indices
-    near_pi = find_bound_states(result, np.pi, args.ipr_threshold).indices
+    result = diagonalize(profile)  # every eigenpair is guarded here; no vector is printed, so none is built
+    near_zero = _bound_positions(result, 0.0, args.ipr_threshold)
+    near_pi = _bound_positions(result, np.pi, args.ipr_threshold)
     flags = np.full(result.count, None)
     flags[near_pi] = "pi"
     flags[near_zero] = "0"

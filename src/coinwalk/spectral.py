@@ -19,19 +19,20 @@ arithmetic, with numpy alone:
    symmetric part is diag(A0, A1).  Only sector 1's periodic tridiagonal
    block A1 is built, from U's entries alone, and its components are
    diagonalized by ``np.linalg.eigh``, components of one size in one
-   batched call; the eigenvectors are rotated back into U's rows as they
-   are written.  On an even ring, where U's nonzero entries all join sites
-   of opposite parity, U^2 splits over the two sublattices: steps 1-4 then
-   act on its even-site block M = U_eo U_oe, half the size of U, with
-   eigenvalues exp(-2iE) and Gamma_e M Gamma_e = M^T for the even sites'
-   reflections, and each eigenpair of M gives two eigenpairs of U, at E
-   and E + pi.
+   batched call; every vector is kept as coefficients over its sector's
+   frame vectors, one per site.  On an even ring, where U's entries all
+   join sites of opposite parity, U^2 splits over the two sublattices:
+   steps 1-4 then act on its even-site block M = U_eo U_oe, half the size
+   of U, with eigenvalues exp(-2iE) and Gamma_e M Gamma_e = M^T for the
+   even sites' reflections, and each eigenpair of M gives two eigenpairs
+   of U, at E and E + pi.
 3. Orthogonality gives A0 C = C A1 and C^T C = 1 - A1^2, so an eigenvector
    q of A1 at cos E has a sector-0 part of U q of norm sigma = |sin E|, and
    p = P0 U q / sigma is A0's eigenvector at the same cos E: the pair's
    eigenvectors are (p +/- iq)/sqrt(2), exact even where cos E is
    degenerate.  Only pairs with sigma above ``_PAIR_FLOOR`` are formed this
-   way.  The rest lie near E = 0 and pi: the unpaired q's, and as many of
+   way, and a p of sigma below 0.1 is re-orthogonalized against the other
+   p's.  The rest lie near E = 0 and pi: the unpaired q's, and as many of
    A0's eigenvectors orthogonal to every p, from pivoted Cholesky on the
    complement and a Rayleigh-Ritz ``eigh`` of A0 on it.  Their eigenvalues
    of equal cos E (gap below ``_CLUSTER_GAP``), sorted within groups (U's
@@ -46,13 +47,16 @@ arithmetic, with numpy alone:
 4. A pair's E is -atan2(sigma, cos E), from the map's norm and A1's
    eigenvalue, and a cluster's E the angle of its Rayleigh quotient
    v^H U v, both accurate at E = 0 and pi where arccos(cos E) is not.
-   The IPR and the eigen-residual come from the real and imaginary parts
-   of v and their images under U in real arithmetic; no complex
-   eigenvector is formed until it is read.
+   Each site's frame is folded into the entries of U's first factor (U,
+   or U_oe on an even ring), one entry per row, which then moves the
+   coefficients; the IPR comes from the coefficients (on an even ring,
+   with the first images on the odd sites), and no complex vector is
+   formed until it is read.
 
-A largest eigen-residual ||Uv - e^{-iE} v|| above 1e-10, taken through
-the action of U's entries (on an even ring, U_oe and then U_eo) on every
-eigenvector, is treated as a solver failure, in ``diagonalize`` itself.
+A largest eigen-residual ||Uv - e^{-iE} v|| above 1e-10, taken over U's
+rows through the action of U's entries (on an even ring, U_oe and then
+U_eo) on every eigenvector, is treated as a solver failure, in
+``diagonalize`` itself.
 The complex eigenvectors of a result are built on first read, all of them
 or only a kept few, and guarded again through U's entries.  Localized
 states are separated from band states by the inverse participation ratio
@@ -161,9 +165,9 @@ class SpectralResult:
         return self._build(positions)[:, inverse]
 
 
-def _apply(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
-    """U applied to every row of ``rows``, for U[i, cols[i, j]] = vals[i, j], written into ``out`` when given."""
-    out = np.empty(rows.shape, dtype=rows.dtype) if out is None else out
+def _apply(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """U applied to every row of ``rows``, for U[i, cols[i, j]] = vals[i, j]."""
+    out = np.empty((len(rows), len(cols)), dtype=rows.dtype)
     for top in range(0, len(rows), 64):  # a few rows at a time stay in cache
         chunk, total = rows[top : top + 64], out[top : top + 64]
         np.multiply(np.take(chunk, cols[:, 0], axis=1), vals[:, 0], out=total)
@@ -216,42 +220,29 @@ def _symmetric_blocks(cols: np.ndarray, vals: np.ndarray, nodes: np.ndarray) -> 
     return stack
 
 
-def _block_eigh(
-    cols: np.ndarray, vals: np.ndarray, members: np.ndarray, sizes: np.ndarray, frame: np.ndarray, basis: np.ndarray
-) -> np.ndarray:
-    """Eigenpairs of (X + X^T)/2 for some sector blocks X, written back in the frame's rows.
+def _block_eigh(cols, vals, members: np.ndarray, sizes: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Eigenpairs of (X + X^T)/2 for some sector blocks X, written as coefficient rows over sites.
 
     X is given by its entries X[i, cols[i, j]] = vals[i, j] on nodes
-    s * sites + p, sector s of site p of ``frame`` (sites, d, d).  The
-    nodes ``members`` are whole connected components of X, all of them or
-    only one sector's; taken in that order, their rows and columns form
-    diagonal blocks of the sizes listed in ``sizes``, equal sizes adjacent.
-    Each run of equal blocks takes one batched ``np.linalg.eigh``.  Returns
-    the eigenvalues, sorted within each block, and writes the eigenvectors
-    as rows over the frame's rows, row p * d + c weighted by frame[p, c, s],
-    into the zeroed (len(members), sites * d) array ``basis``.
+    s * sites + p, sector s of site p.  The nodes ``members`` are whole
+    connected components of X, all of them or only one sector's; taken in
+    that order, their rows and columns form diagonal blocks of the sizes
+    listed in ``sizes``, equal sizes adjacent.  Each run of equal blocks
+    takes one batched ``np.linalg.eigh``.  Returns the eigenvalues, sorted
+    within each block, and writes eigenvector k into row k of the zeroed
+    (len(members), sites) ``basis``: node s * sites + p at column p.
     """
-    sites, d = frame.shape[:2]
-    weight = frame.reshape(sites * d, d)
+    sites = basis.shape[1]
     values = np.empty(len(members))
     top = 0
     for block, count in zip(*np.unique(sizes, return_counts=True)):
         end = top + block * count
-        stack = _symmetric_blocks(cols, vals, members[top:end].reshape(count, block))
-        eigenvalues, vectors = np.linalg.eigh(stack)
-        del stack
+        nodes = members[top:end].reshape(count, block)
+        eigenvalues, vectors = np.linalg.eigh(_symmetric_blocks(cols, vals, nodes))
         values[top:end] = eigenvalues.ravel()
-        # node a of block k is written to the rows of its site, a few eigenvalues at a time,
-        # into a (row, block, eigenvalue) array whose transpose gives whole rows of the basis
-        sector, site = np.divmod(members[top:end].reshape(count, block), sites)
-        slots = np.arange(top, end).reshape(count, block)
-        for first in range(0, block, 64):
-            chunk = vectors[:, :, first : first + 64]
-            run = np.zeros((sites * d, count, chunk.shape[2]))
-            for part in range(d):
-                rows = site * d + part
-                run[rows, np.arange(count)[:, None]] = chunk * weight[rows, sector][:, :, None]
-            basis[slots[:, first : first + 64].ravel()] = run.reshape(sites * d, -1).T
+        # rows top..end of basis as (block, site, eigenvalue), so that a node takes one strided run
+        rows = basis[top:end].reshape(count, block, sites).transpose(0, 2, 1)
+        rows[np.arange(count)[:, None], nodes % sites] = vectors
         top = end
     return values
 
@@ -333,43 +324,68 @@ def _sectors(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
     )
 
 
-def _images(factors, rows: np.ndarray) -> np.ndarray:
-    """Rows x and their images F1 x, F2 F1 x, ... side by side, (len(rows), len(factors) + 1, n).
+def _fold(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray) -> list:
+    """Entries of F W_s for each sector s, for F[i, cols[i, j]] = vals[i, j] whose columns are the frame's rows.
 
-    ``factors`` holds the entries (cols, vals) of F1, F2, ... (see ``_apply``).
+    Entry j of row i becomes vals[i, j] frame[c // d, c % d, s] at column
+    c // d, c = cols[i, j]; where every row's entries lie on one site, as a
+    coin-shift row's two do, they are summed into one.
     """
-    images = np.empty((len(rows), len(factors) + 1, rows.shape[1]))
-    images[:, 0] = rows
-    for stage, (cols, vals) in enumerate(factors):
-        _apply(cols, vals, images[:, stage], out=images[:, stage + 1])
+    d = frame.shape[1]
+    weight, site_cols = frame.reshape(-1, d), cols // d
+    folded = [vals * weight[cols, s] for s in range(d)]
+    if np.all(site_cols == site_cols[:, :1]):
+        return [(site_cols[:, :1], entries.sum(axis=1, keepdims=True)) for entries in folded]
+    return [(site_cols, entries) for entries in folded]
+
+
+def _images(factors, rows: np.ndarray) -> list:
+    """Images F1 x, F2 F1 x, ... of the rows x, for the entries (cols, vals) of F1, F2, ... in ``factors``."""
+    images = []
+    for cols, vals in factors:
+        images.append(rows := _apply(cols, vals, rows))
     return images
 
 
-def _measure(re: np.ndarray, im, d: int, energies: np.ndarray):
-    """IPR and eigen-residual of unit vectors x = re[:, 0] + i im[:, 0] of X = ... F2 F1 at E, from their ``_images``.
+def _rows(coef: np.ndarray, frame: np.ndarray, sector) -> np.ndarray:
+    """Vectors W_s c over the frame's rows, for coefficient rows c in ``sector`` s (one, or one per row)."""
+    rows = np.empty(coef.shape + frame.shape[1:2])
+    for part in range(rows.shape[-1]):  # a component at a time: numpy is slow over a last axis of 2
+        np.multiply(coef, frame[:, part].T[sector], out=rows[..., part])
+    return rows.reshape(coef.shape[:-1] + (-1,))
 
-    Each row of x is one vector, real when ``im`` is None.  x and its images
-    under every factor but the last share x's unit weight equally, over
-    sites of d rows each: on an even ring x and U_oe x are the two halves of
-    U's eigenvector lifted from M = U_eo U_oe.  The residual is
-    ||X x - e^{-iE} x||, for the ``energies`` E; the last images are
-    overwritten.
+
+def _measure(frame: np.ndarray, energies: np.ndarray, parts: list):
+    """IPR and eigen-residual of unit vectors x = sum_s i^s W_s c_s of X = ... F2 F1 at E.
+
+    ``parts`` holds (s, c_s, images) for sector s, one or both, sector 0
+    first: c_s has one coefficient row per vector over the sites of
+    ``frame``, and ``images`` its ``_images`` under F1 W_s, F2, ..., the
+    last X W_s c_s.  x and its images under all factors but the last share
+    x's unit weight: x's probability at a site is the sum of c_s^2 (each
+    site's frame is orthonormal); on an even ring x and U_oe x are the
+    halves of U's eigenvector lifted from M = U_eo U_oe.  The residual
+    ||X x - e^{-iE} x|| at the ``energies`` E, over X's rows, overwrites the
+    last images.
     """
-    count, stages = re.shape[:2]
-    square = np.square(re[:, :-1])
-    if im is not None:
-        square += np.square(im[:, :-1])
-    prob = square.reshape(count, -1, d) @ np.ones(d)  # a fast sum over d
-    ipr = np.einsum("ks,ks->k", prob, prob) / (stages - 1) ** 2
+    count, d, stages = len(energies), frame.shape[1], len(parts[0][2])
+    ipr = np.zeros(count)
+    for stage, arrays in enumerate(zip(*([c, *images[:-1]] for _, c, images in parts))):
+        prob = sum(np.square(a) for a in arrays)  # x's coefficients, then its images but the last
+        prob = sum(prob[:, part::d] for part in range(d)) if stage else prob
+        ipr += np.einsum("ks,ks->k", prob, prob)
+    ipr /= stages**2
     cos_e, sin_e = np.cos(energies)[:, None], np.sin(energies)[:, None]
-    a, image_a = re[:, 0], re[:, -1]
-    image_a -= cos_e * a
-    if im is None:  # X x - e^{-iE} x = (X x - cos E x) + i sin E x
-        return ipr, np.sqrt(np.einsum("ki,ki->k", image_a, image_a) + sin_e[:, 0] ** 2 * np.einsum("ki,ki->k", a, a))
-    b, image_b = im[:, 0], im[:, -1]
-    image_a -= sin_e * b
-    image_b -= cos_e * b - sin_e * a
-    return ipr, np.sqrt(np.einsum("ki,ki->k", image_a, image_a) + np.einsum("ki,ki->k", image_b, image_b))
+    moved = [images[-1] for _, _, images in parts]
+    for (s, c, _), moved_s in zip(parts, moved):
+        moved_s -= _rows(cos_e * c, frame, s)
+    if len(parts) == 1:  # X x - e^{-iE} x = (X - cos E) x + i sin E x, up to the phase i^s
+        c = parts[0][1]
+        return ipr, np.sqrt(np.einsum("ki,ki->k", moved[0], moved[0]) + sin_e[:, 0] ** 2 * np.einsum("ki,ki->k", c, c))
+    # X x - e^{-iE} x = (X W0 c0 - cos E W0 c0 - sin E W1 c1) + i (X W1 c1 - cos E W1 c1 + sin E W0 c0)
+    moved[0] -= _rows(sin_e * parts[1][1], frame, 1)
+    moved[1] += _rows(sin_e * parts[0][1], frame, 0)
+    return ipr, np.sqrt(np.einsum("ki,ki->k", moved[0], moved[0]) + np.einsum("ki,ki->k", moved[1], moved[1]))
 
 
 def _combine(coeffs: np.ndarray, sector: np.ndarray, rows: np.ndarray) -> list:
@@ -380,19 +396,19 @@ def _combine(coeffs: np.ndarray, sector: np.ndarray, rows: np.ndarray) -> list:
     ]
 
 
-def _cluster_vectors(span: np.ndarray, basis: np.ndarray, index: np.ndarray, coeffs, sector, clusters):
-    """Vectors sum_j coeffs[k, j, i] q[k, j] i^sector[k, j] of the members i of ``clusters`` k, 64 at a time.
+def _cluster_vectors(span: np.ndarray, basis: np.ndarray, frame: np.ndarray, index: np.ndarray, coeffs, clusters):
+    """Vectors sum_j coeffs[k, j, i] W_s q[k, j] i^s of the members i of ``clusters`` k, 64 at a time.
 
-    q[k, j] is row index[k, j] of ``basis``.  Yields the members'
-    eigenpairs span[k, i] and the real and imaginary parts of their vectors
-    as rows, all in the order (k, i).
+    q[k, j] is row index[k, j] of the coefficient ``basis``, s its sector
+    (see ``_eigenpairs``).  Yields the members' eigenpairs span[k, i] and
+    the real and imaginary parts of their vectors over the frame's rows.
     """
     step = max(1, 64 // span.shape[1])  # clusters per chunk, of at most 64 members each
     for first in range(0, clusters.size, step):
         at = clusters[first : first + step]
-        q = basis[index[at]]
         for top in range(0, span.shape[1], 64):
-            yield span[at, top : top + 64].ravel(), *_combine(coeffs[at, :, top : top + 64], sector[at], q)
+            re, im = _combine(coeffs[at, :, top : top + 64], index[at] < len(frame), basis[index[at]])
+            yield span[at, top : top + 64].ravel(), _rows(re, frame, 0), _rows(im, frame, 1)
 
 
 def _complement(coef: np.ndarray, owner: np.ndarray, group: np.ndarray, cols: np.ndarray, vals: np.ndarray):
@@ -456,11 +472,10 @@ def _complement(coef: np.ndarray, owner: np.ndarray, group: np.ndarray, cols: np
     return np.concatenate(values), np.concatenate(vectors), np.concatenate(labels)
 
 
-def _partner(image: np.ndarray, frame: np.ndarray):
-    """Sector-0 parts P0 X q of rows X q, as coefficients over the sector-0 frame vectors and as rows."""
-    sites, d = frame.shape[:2]
-    coef = np.einsum("kpc,pc->kp", image.reshape(-1, sites, d), frame[:, :, 0])
-    return coef, (coef[:, :, None] * frame[:, :, 0]).reshape(image.shape)
+def _partner(image: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Sector-0 parts P0 X q of rows X q, as coefficients over the sector-0 frame vectors."""
+    d = frame.shape[1]
+    return sum(image[:, part::d] * frame[:, part, 0] for part in range(d))
 
 
 def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
@@ -472,23 +487,25 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
     their frame W, W^T X W = [[A0, C], [-C^T, A1]] with A0, A1 symmetric,
     and orthogonality gives A0 C = C A1 and C^T C = 1 - A1^2.  So only A1,
     built from X's entries alone, is solved: for its unit eigenvector q at
-    cos E, sigma = ||P0 X q|| = |sin E| (P0 the sector-0 part, taken with
-    the site frames), and p = P0 X q / sigma is A0's eigenvector at the
-    same cos E, exact even within a degenerate cluster.  ``factors`` holds
-    the entries of matrices whose product is X (see ``_measure``).  For
-    sigma above ``_PAIR_FLOOR`` the pair's eigenvectors (p +/- iq)/sqrt(2)
-    are measured, never formed, in real arithmetic.  The rest, near
-    E = 0 and pi, are the vectors q with sigma at most the floor and A0's
+    cos E, sigma = ||P0 X q|| = |sin E| (P0 the sector-0 part, a per-site
+    frame dot), and p = P0 X q / sigma is A0's eigenvector at the same
+    cos E, exact even within a degenerate cluster.  Vectors are coefficients
+    over their sector's frame vectors, one per site; ``factors`` holds the
+    entries of F1, F2, ... with product X, and F1 W_s (``_fold``) takes
+    coefficient rows.  For sigma above ``_PAIR_FLOOR`` the pair's vectors
+    (p +/- iq)/sqrt(2) are measured (``_measure``), never formed; p's with
+    sigma below ten times the floor, whose overlaps grow like eps / sigma^2,
+    go last and are projected off the p's before them.  The rest, near
+    E = 0 and pi, are the q's with sigma at most the floor and A0's
     eigenvectors orthogonal to every p (``_complement``), grouped by X's
     components joined over every site whose frame mixes them: their
     eigenvalues are sorted within groups, joined into clusters (gap below
     ``_CLUSTER_GAP``), and each cluster is solved by ``_resolve_clusters``.
-    Returns E = -arg(lambda), the IPR and the largest eigen-residual of the
-    eigenvectors (see ``_measure``), the real ``basis`` whose rows are the
-    q's, the p's and A0's remaining eigenvectors, and the solved clusters
-    as a list of (span, index, coeffs, side): the eigenvector of
-    E[span[k, i]] is sum_j coeffs[k, j, i] basis[index[k, j]] i^side[k, j],
-    side the members' sectors.
+    Returns E = -arg(lambda), the IPR, the largest eigen-residual, the
+    coefficient ``basis`` whose rows are the q's (sector 1), then the p's
+    and A0's other eigenvectors (sector 0), and the solved clusters as a
+    list of (span, index, coeffs): the eigenvector of E[span[k, i]] is
+    sum_j coeffs[k, j, i] W_s q_j i^s, q_j = basis[index[k, j]] of sector s.
     """
     sites, d = frame.shape[:2]
     size = len(cols)
@@ -496,15 +513,14 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
     sector_cols, sector_vals = _sectors(cols, vals, frame)
     labels = _components(sector_cols, sector_vals)
     sizes = np.bincount(labels)
-    # Sector 1's nodes sites..2 sites - 1 in an order sorted by component size,
-    # then component, where the components of one size are a run of equal
-    # diagonal blocks; the eigenvectors are rows over X's rows.
+    # Sector 1's nodes sites..2 sites - 1 sorted by component size, then component:
+    # the components of one size are a run of equal diagonal blocks.
     members = np.lexsort((labels, sizes[labels]))
     members = members[members >= sites]
-    # Rows of ``basis``: A1's eigenvectors q, then the p's, then A0's eigenvectors orthogonal to every p.
-    basis = np.zeros((2 * sites, size))
+    basis = np.zeros((2 * sites, sites))
     sizes_1 = np.bincount(labels[sites:])  # components never join the sectors
-    cos_e = _block_eigh(sector_cols, sector_vals, members, np.sort(sizes_1[sizes_1 > 0]), frame, basis[:sites])
+    cos_e = _block_eigh(sector_cols, sector_vals, members, np.sort(sizes_1[sizes_1 > 0]), basis[:sites])
+    chains = [(first, *factors[1:]) for first in _fold(*factors[0], frame)]  # F1 W_s, F2, ... for each sector s
     # Groups: X's components joined with the rows of every site whose frame mixes them.
     rows = np.arange(size)
     partner = rows - rows % d + (rows + 1) % d
@@ -513,45 +529,39 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
     strongest = np.abs(frame).argmax(axis=1)  # (site, sector): the row each node is grouped by
     site_group = group[np.arange(sites) * d + strongest[:, 0]]
     q_group = group[(members - sites) * d + strongest[members - sites, 1]]
-    # sigma^2 = q^T C^T C q = 1 - cos^2 E, so the vectors q left unpaired are known
-    # before X is applied.  p = P0 X q / sigma is kept as a row and as coefficients over
-    # the sector-0 frame vectors; pair member 0 is (p + iq)/sqrt(2) at E and
-    # member 1 is (p - iq)/sqrt(2) at -E.
-    paired = (1 - cos_e) * (1 + cos_e) > _PAIR_FLOOR**2
-    keep, unpaired = np.flatnonzero(paired), np.flatnonzero(~paired)
-    coef = np.empty((keep.size, sites))
+    # sigma^2 = q^T C^T C q = 1 - cos^2 E, so the vectors q left unpaired, and the
+    # p's to re-orthogonalize, which go last, are known before X is applied.  Pair
+    # member 0 is (p + iq)/sqrt(2) at E and member 1 is (p - iq)/sqrt(2) at -E.
+    sine2 = (1 - cos_e) * (1 + cos_e)
+    unpaired, paired = np.flatnonzero(sine2 <= _PAIR_FLOOR**2), np.flatnonzero(sine2 > _PAIR_FLOOR**2)
+    small = sine2[paired] < (10 * _PAIR_FLOOR) ** 2
+    keep, first_small = paired[np.argsort(small, kind="stable")], paired.size - np.count_nonzero(small)
+    tops = [*range(0, first_small, 32), *range(first_small, keep.size, 32)]
     energies, ipr, residual = np.empty(size), np.empty(size), 0.0
     span = np.arange(2 * keep.size).reshape(-1, 2)
-    for top in range(0, keep.size, 32):
-        chunk = keep[top : top + 32]
-        im = _images(factors, basis[chunk])
-        part, p = _partner(im[:, -1], frame)
-        sigma = np.sqrt(np.einsum("kp,kp->k", part, part))[:, None]
-        coef[top : top + 32] = part / sigma
-        np.divide(p, sigma, out=basis[sites + top : sites + top + chunk.size])
-        re = _images(factors, basis[sites + top : sites + top + chunk.size])
-        re *= np.sqrt(0.5)
-        im *= np.sqrt(0.5)
-        pair_e = -np.arctan2(sigma[:, 0], cos_e[chunk])  # (p + iq)/sqrt(2) has eigenvalue cos E + i sigma
-        pair_ipr, gap = _measure(re, im, d, pair_e)
-        energies[span[top : top + 32]] = pair_e[:, None] * [1, -1]
-        ipr[span[top : top + 32]] = pair_ipr[:, None]
-        residual = max(residual, gap.max())
-    solved = [
-        (
-            span,
-            np.column_stack([sites + np.arange(keep.size), keep]),
-            np.broadcast_to(np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]]), (keep.size, 2, 2)),
-            np.broadcast_to(np.array([0, 1]), (keep.size, 2)),
-        )
-    ]
+    for top, end in zip(tops, tops[1:] + [keep.size]):
+        q = basis[keep[top:end]]
+        images_q = _images(chains[1], q)
+        p = _partner(images_q[-1], frame)
+        sigma = np.sqrt(np.einsum("kp,kp->k", p, p))[:, None]
+        p /= sigma
+        if top >= first_small:  # off the p's before it, and orthonormal to first order within the chunk
+            before = basis[sites : sites + top]
+            p -= (p @ before.T) @ before
+            p -= 0.5 * (p @ p.T - np.eye(len(p))) @ p
+        basis[sites + top : sites + end] = p
+        pair_e = -np.arctan2(sigma[:, 0], cos_e[keep[top:end]])  # (p + iq)/sqrt(2) has eigenvalue cos E + i sigma
+        pair_ipr, gap = _measure(frame, pair_e, [(0, p, _images(chains[0], p)), (1, q, images_q)])
+        energies[span[top:end]] = pair_e[:, None] * [1, -1]
+        ipr[span[top:end]] = pair_ipr[:, None] / 4  # measured for p + iq, of norm sqrt(2)
+        residual = max(residual, gap.max() * np.sqrt(0.5))
+    pair_coeffs = np.broadcast_to(np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]]), (keep.size, 2, 2))
+    solved = [(span, np.column_stack([sites + np.arange(keep.size), keep]), pair_coeffs)]
     # The rest: the unpaired q's and A0's complement, in clusters of equal cos E
     # within a group, solved by size, 32 members at a time.
-    rest_e, rest_coef, rest_group = _complement(
-        coef, q_group[keep], site_group, sector_cols[:sites], sector_vals[:sites]
+    rest_e, basis[sites + keep.size :], rest_group = _complement(
+        basis[sites : sites + keep.size], q_group[keep], site_group, sector_cols[:sites], sector_vals[:sites]
     )
-    del coef
-    np.multiply(rest_coef[:, :, None], frame[:, :, 0], out=basis[sites + keep.size :].reshape(-1, sites, d))
     rest_rows = np.concatenate([unpaired, np.arange(sites + keep.size, 2 * sites)])
     rest_e = np.concatenate([cos_e[unpaired], rest_e])
     rest_group = np.concatenate([q_group[unpaired], rest_group])
@@ -562,25 +572,23 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
     counts = np.diff(np.append(starts, order.size))
     for count in np.flatnonzero(np.bincount(counts, minlength=1)):
         at = order[starts[counts == count][:, None] + np.arange(count)]
-        index, side, span = rest_rows[at], (at < unpaired.size).astype(int), 2 * keep.size + at
+        at = at[np.argsort(rest_rows[at[:, 0]] < sites, kind="stable")]  # lone members in runs of one sector
+        index, span = rest_rows[at], 2 * keep.size + at
+        side = (index < sites).astype(int)
         step = max(1, 32 // count)  # clusters at a time: at most 32 members, or one larger cluster
         parts = [slice(first, first + step) for first in range(0, len(at), step)]
         upper = np.zeros((len(at), count, count))  # G's strict upper triangle, from members 1..m-1 moved by X
         for part in parts if count > 1 else []:
-            q = basis[index[part]]
+            q = _rows(basis[index[part]], frame, side[part])
             image = _apply(cols, vals, q[:, 1:].reshape(-1, size)).reshape(len(q), count - 1, size)
             upper[part, :, 1:] = np.triu(q @ image.transpose(0, 2, 1))
         energies[span], coeffs = _resolve_clusters(upper, rest_e[at], side)
-        for part in parts:
-            # the members' images under every factor, side by side, are combined in one product
-            stages = _images(factors, basis[index[part].ravel()]).reshape(index[part].shape + (-1,))
-            if count == 1:  # a member alone is its eigenvector up to the phase i^side: a real one
-                re, im = stages.reshape(-1, len(factors) + 1, size), None
-            else:
-                re, im = (x.reshape(-1, len(factors) + 1, size) for x in _combine(coeffs[part], side[part], stages))
-            ipr[span[part].ravel()], gap = _measure(re, im, d, energies[span[part]].ravel())
+        for part in parts:  # a sector no member of the part lies in adds nothing
+            combined = _combine(coeffs[part], side[part], basis[index[part]])
+            measured = [(s, c, _images(chains[s], c)) for s, c in enumerate(combined) if np.any(side[part] == s)]
+            ipr[span[part].ravel()], gap = _measure(frame, energies[span[part]].ravel(), measured)
             residual = max(residual, gap.max())
-        solved.append((span, index, coeffs, side))
+        solved.append((span, index, coeffs))
     return energies, ipr, residual, basis, solved
 
 
@@ -614,7 +622,8 @@ def _eig_orthogonal(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
     bipartite = not np.any((parity[cols] == parity[:, None]) & (vals != 0))
     if bipartite:
         two_cols, two_vals, oe, eo = _two_step(cols, vals)
-        phi, ipr, residual, basis, solved = _eigenpairs(two_cols, two_vals, frame[::2], (oe, eo))
+        frame = frame[::2]
+        phi, ipr, residual, basis, solved = _eigenpairs(two_cols, two_vals, frame, (oe, eo))
         energies = np.concatenate([phi / 2, phi / 2 + np.where(phi > 0, -np.pi, np.pi)])
         ipr, residual, lift = np.concatenate([ipr, ipr]), residual / np.sqrt(2), (oe, phi)
     else:
@@ -624,17 +633,18 @@ def _eig_orthogonal(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
     energies[energies == -np.pi] = np.pi
     order = np.argsort(energies)
     energies = energies[order]
-    columns = functools.partial(_assemble, cols, vals, energies, order, basis, solved, lift)
+    columns = functools.partial(_assemble, cols, vals, energies, order, basis, frame, solved, lift)
     return energies, ipr[order], residual, columns
 
 
-def _assemble(cols, vals, energies, order, basis, solved, lift, keep: np.ndarray) -> np.ndarray:
+def _assemble(cols, vals, energies, order, basis, frame, solved, lift, keep: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of U at sorted positions ``keep``, as columns, guarded through U's entries.
 
     U[i, cols[i, j]] = vals[i, j] has the sorted ``energies``; ``order``
     maps them to the eigenpairs of the clusters ``solved`` by
-    ``_eigenpairs`` from the rows of its real ``basis``, and only clusters
-    with a kept member are combined.
+    ``_eigenpairs`` from the coefficient rows of its real ``basis`` over the
+    sites of ``frame``, and only clusters with a kept member are combined
+    and expanded to rows.
     With ``lift`` = (U_oe's entries, phi), the clusters are those of
     M = U_eo U_oe, and the eigenpair M x = e^{-i phi} x is lifted to U's two
     eigenvectors (see ``_eig_orthogonal``); an eigenvector's rows are
@@ -645,11 +655,11 @@ def _assemble(cols, vals, energies, order, basis, solved, lift, keep: np.ndarray
     column[order[keep]] = np.arange(keep.size)
     rows = np.empty((keep.size + 1, size), dtype=complex)
     sites = rows.reshape(keep.size + 1, -1, 2, 2) if lift else None  # (vector, site pair, parity, component)
-    for span, index, coeffs, side in solved:
+    for span, index, coeffs in solved:
         wanted = column[span] >= 0
         if lift:
             wanted |= column[span + size // 2] >= 0
-        for slots, re, im in _cluster_vectors(span, basis, index, coeffs, side, np.flatnonzero(wanted.any(axis=1))):
+        for slots, re, im in _cluster_vectors(span, basis, frame, index, coeffs, np.flatnonzero(wanted.any(axis=1))):
             x = np.empty(re.shape, dtype=complex)
             x.real, x.imag = re, im
             if not lift:
@@ -701,6 +711,15 @@ def circle_distance(energy, target: float):
     return np.abs(np.mod(np.asarray(energy) - target + np.pi, 2 * np.pi) - np.pi)
 
 
+def _bound_positions(result: SpectralResult, target: float, ipr_threshold: float | None = None) -> np.ndarray:
+    """Positions in ``result`` of the states ``find_bound_states`` keeps, without building any vector."""
+    threshold = 4.0 / result.length if ipr_threshold is None else float(ipr_threshold)
+    localized = np.nonzero(result.ipr > threshold * (1 + 8 * np.finfo(float).eps))[0]
+    dist = circle_distance(result.quasi_energies[localized], target)
+    localized, dist = localized[dist < np.pi / 2 - 1e-6], dist[dist < np.pi / 2 - 1e-6]
+    return localized[dist <= dist.min(initial=np.inf) + 1e-6]
+
+
 def find_bound_states(
     result: SpectralResult, target: float, ipr_threshold: float | None = None
 ) -> SpectralResult:
@@ -715,11 +734,7 @@ def find_bound_states(
     from the target is returned, so both members of a split pair are.  No
     such states is an empty result, not an error.
     """
-    threshold = 4.0 / result.length if ipr_threshold is None else float(ipr_threshold)
-    localized = np.nonzero(result.ipr > threshold * (1 + 8 * np.finfo(float).eps))[0]
-    dist = circle_distance(result.quasi_energies[localized], target)
-    localized, dist = localized[dist < np.pi / 2 - 1e-6], dist[dist < np.pi / 2 - 1e-6]
-    keep = localized[dist <= dist.min(initial=np.inf) + 1e-6]
+    keep = _bound_positions(result, target, ipr_threshold)
     return SpectralResult(
         quasi_energies=result.quasi_energies[keep],
         vectors=result.columns(keep),

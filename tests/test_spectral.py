@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from coinwalk import (
     splitting_decay_rate,
     step,
 )
-from coinwalk import spectral
+from coinwalk import cli, spectral
 
 # finite-block reference energies E/pi (reflecting ends, three block angles)
 REFERENCE_ENERGIES = {
@@ -355,9 +356,13 @@ def block_eigh(profile, two_step=False):
     cols, vals = spectral._sectors(cols, vals, frame)
     labels = spectral._components(cols, vals)
     sizes = np.bincount(labels)
-    rows = np.zeros((len(cols), len(cols)))
-    values = spectral._block_eigh(cols, vals, np.lexsort((labels, sizes[labels])), np.sort(sizes), frame, rows)
-    return values, rows
+    members = np.lexsort((labels, sizes[labels]))
+    sites = len(frame)
+    coef = np.zeros((len(cols), sites))
+    values = spectral._block_eigh(cols, vals, members, np.sort(sizes), coef)
+    # row k holds coefficients over the frame vectors of its block's sector, node members[k] // sites
+    rows = coef[:, :, None] * frame.transpose(2, 0, 1)[members // sites]
+    return values, rows.reshape(len(cols), -1)
 
 
 @pytest.mark.parametrize(
@@ -425,15 +430,19 @@ def test_odd_ring_takes_eigh(profile, monkeypatch):
 # even and odd rings; clusters of tens of members (near-reflecting coins),
 # reflecting walls, same-sector clusters (theta = 0) and unresolved pairs
 # (the antisymmetric ring's E = 0, pi modes)
+ASSEMBLY_LAYOUTS = [  # kind, L, theta1 / pi, theta2 / pi, N
+    ("symmetric", 64, -0.6, 0.3, 6),
+    ("symmetric", 65, -0.6, 0.3, 6),
+    ("symmetric", 128, 0.501, -0.475, 5),
+    ("symmetric", 129, 0.501, -0.475, 5),
+    ("wire", 64, -0.5, 0.3, 6),
+    ("antisymmetric", 256, -0.3, 0.35, 8),
+    ("uniform", 64, 0.0, None, None),
+    ("uniform", 33, 0.0, None, None),
+]
 ASSEMBLY_PROFILES = [
-    build_profile("symmetric", 64, -0.6 * np.pi, 0.3 * np.pi, wire_length=6),
-    build_profile("symmetric", 65, -0.6 * np.pi, 0.3 * np.pi, wire_length=6),
-    build_profile("symmetric", 128, 0.501 * np.pi, -0.475 * np.pi, wire_length=5),
-    build_profile("symmetric", 129, 0.501 * np.pi, -0.475 * np.pi, wire_length=5),
-    build_profile("wire", 64, -0.5 * np.pi, 0.3 * np.pi, wire_length=6),
-    build_profile("antisymmetric", 256, -0.3 * np.pi, 0.35 * np.pi, wire_length=8),
-    build_profile("uniform", 64, 0.0),
-    build_profile("uniform", 33, 0.0),
+    build_profile(kind, length, theta1 * np.pi, None if theta2 is None else theta2 * np.pi, wire_length=block)
+    for kind, length, theta1, theta2, block in ASSEMBLY_LAYOUTS
 ]
 
 
@@ -454,6 +463,31 @@ def test_column_subsets_match_full_vectors(profile):
     moved = spectral._apply(cols, vals, full.T) - full.T * np.exp(-1j * result.quasi_energies)[:, None]
     assert np.max(np.linalg.norm(moved, axis=1)) <= spectral._RESIDUAL_GUARD
     assert np.max(np.abs(np.linalg.norm(full, axis=0) - 1)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "layout, profile", zip(ASSEMBLY_LAYOUTS, ASSEMBLY_PROFILES), ids=[f"profile{i}" for i in range(len(ASSEMBLY_LAYOUTS))]
+)
+def test_cli_flags_bound_states_without_vectors(layout, profile, capsys, monkeypatch):
+    # the CLI prints energies, IPRs and flags only: it flags the positions that
+    # find_bound_states keeps, and builds no eigenvector
+    kind, length, theta1, theta2, block = layout
+    argv = ["diagonalize", "--kind", kind, f"--theta1={theta1}", "--n-sites", str(length)]
+    if theta2 is not None:
+        argv += [f"--theta2={theta2}", "--wire-length", str(block)]
+    result = diagonalize(profile)
+    near = {label: find_bound_states(result, target).indices for label, target in (("0", 0.0), ("pi", np.pi))}
+
+    def no_assemble(*args):
+        raise AssertionError("an eigenvector was built")
+
+    monkeypatch.setattr(spectral, "_assemble", no_assemble)
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    flags = np.array([row["localized_near"] for row in payload["data"]])
+    for label in ("0", "pi"):
+        assert np.array_equal(np.flatnonzero(flags == label), near[label])
+        assert payload["extras"][f"localized_near_{'zero' if label == '0' else 'pi'}"] == near[label].size
 
 
 def test_lazy_result_stays_a_frozen_dataclass():
@@ -555,22 +589,50 @@ def test_one_sector_eigh_on_even_ring(monkeypatch):
         assert large == [(1, 64, 64)]
 
 
-@pytest.mark.parametrize("mutation", ["no projection", "flipped sign"])
+@pytest.mark.parametrize("mutation", ["wrong sector", "flipped sign"])
 def test_partner_map_is_guarded(mutation, monkeypatch):
     # p must be the sector-0 part of X q, with its sign: (p + iq)/sqrt(2) is
-    # given E = -atan2(sigma, cos E), so X q itself or -p makes a vector whose
-    # residual the guard rejects inside diagonalize, before any vector is read
+    # given E = -atan2(sigma, cos E), so the sector-1 part (A1 q = cos E q,
+    # whose unit multiples are orthonormal, so the complement still builds) or
+    # -p makes a vector whose residual the guard rejects inside diagonalize,
+    # before any vector is read
     profile = build_profile("symmetric", 64, -0.6 * np.pi, 0.3 * np.pi, wire_length=6)
     diagonalize(profile)
     partner = spectral._partner
 
     def mutated(image, frame):
-        coef, rows = partner(image, frame)
-        return coef, image.copy() if mutation == "no projection" else -rows
+        return partner(image, frame[:, :, ::-1]) if mutation == "wrong sector" else -partner(image, frame)
 
     monkeypatch.setattr(spectral, "_partner", mutated)
     with pytest.raises(RuntimeError, match="eigen-residual"):
         diagonalize(profile)
+
+
+@pytest.mark.parametrize("length", [64, 65])
+def test_non_chiral_frame_is_guarded(length):
+    # the frame is folded into U's first factor, so an orthonormal frame that is
+    # not made of the chiral reflections' eigenvectors (each site's rotated by
+    # 0.1 rad) gives sector blocks whose eigenvectors are not U's; the guard,
+    # measured over U's rows, rejects them
+    profile = build_profile("symmetric", length, -0.6 * np.pi, 0.3 * np.pi, wire_length=6)
+    frame = spectral._chiral_frame(profile.angles)
+    turn = np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])
+    rotated = turn @ frame
+    assert np.max(np.abs(rotated.transpose(0, 2, 1) @ rotated - np.eye(2))) <= 1e-15
+    with pytest.raises(RuntimeError):
+        spectral._eig_orthogonal(*spectral._coin_shift(profile), rotated)
+
+
+def test_partner_map_vectors_are_orthonormal():
+    # p = P0 X q / sigma carries q's eigen-residual divided by sigma, so two
+    # pairs with |sin E| near the pair floor overlap by ~eps / (sigma_i sigma_j);
+    # the p's of small sigma are re-orthogonalized, and every profile's
+    # eigenvectors are orthonormal to 1e-13 (1.8e-12 without that step)
+    rng = np.random.default_rng(7)
+    for _ in range(150):
+        length = int(rng.integers(16, 130))
+        vectors = diagonalize(CoinProfile(rng.uniform(-np.pi, np.pi, length))).vectors
+        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(2 * length))) <= 1e-13
 
 
 def test_planted_spectrum_across_cluster_threshold():
