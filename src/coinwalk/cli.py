@@ -48,6 +48,7 @@ from .lattice import (
 from .spectral import (
     SIZE_CAP,
     _bound_positions,
+    _ipr_threshold,
     _splitting_fit,
     diagonalize,
     mode_residual,
@@ -360,12 +361,14 @@ def cmd_evolve(args) -> None:
 def cmd_diagonalize(args) -> None:
     if args.n_sites > SIZE_CAP:
         raise UsageError(f"--n-sites exceeds the dense-solver cap {SIZE_CAP}")
-    if args.ipr_threshold is not None and not 0 <= args.ipr_threshold < math.inf:
-        raise UsageError("--ipr-threshold must be finite and non-negative")
     profile = _profile_from_args(args)
+    try:
+        threshold = _ipr_threshold(profile.length, args.ipr_threshold)
+    except ValueError as exc:
+        raise UsageError("--ipr-threshold must be finite and non-negative") from exc
     result = diagonalize(profile)  # every eigenpair is guarded here; no vector is printed, so none is built
-    near_zero = _bound_positions(result, 0.0, args.ipr_threshold)
-    near_pi = _bound_positions(result, np.pi, args.ipr_threshold)
+    near_zero = _bound_positions(result, 0.0, threshold)
+    near_pi = _bound_positions(result, np.pi, threshold)
     flags = np.full(result.count, None)
     flags[near_pi] = "pi"
     flags[near_zero] = "0"
@@ -374,7 +377,7 @@ def cmd_diagonalize(args) -> None:
     extras = {
         "localized_near_zero": len(near_zero),
         "localized_near_pi": len(near_pi),
-        "ipr_threshold": args.ipr_threshold if args.ipr_threshold is not None else 4.0 / profile.length,
+        "ipr_threshold": threshold,
     }
     _emit(args, args.command, _params(args), columns, data, extras)
 

@@ -299,9 +299,9 @@ def evolve(state: WalkerState, profile: CoinProfile, t: int) -> WalkerState:
     t = operator.index(t)
     if t < 0:
         raise ValueError("step count must be non-negative")
+    _check_same_length(state, profile)
     if t == 0:
         return state
-    _check_same_length(state, profile)
     length = profile.length
     spin = state.spinors()
     spin = spin if spin.imag.any() else spin.real

@@ -32,26 +32,28 @@ arithmetic, with numpy alone:
    eigenvectors are (p +/- iq)/sqrt(2), exact even where cos E is
    degenerate.  Only pairs with sigma above ``_PAIR_FLOOR`` are formed this
    way, and a p of sigma below 0.1 is re-orthogonalized against the other
-   p's.  The rest lie near E = 0 and pi: the unpaired q's, and as many of
-   A0's eigenvectors orthogonal to every p, from pivoted Cholesky on the
-   complement and a Rayleigh-Ritz ``eigh`` of A0 on it.  Their eigenvalues
-   of equal cos E (gap below ``_CLUSTER_GAP``), sorted within groups (U's
-   components, joined over every site whose frame mixes them), form
-   clusters spanning invariant subspaces of U, each resolved by a batched
-   small ``eigh`` of U restricted to it, which the chiral symmetry makes
-   real: every eigenvector is p + iq with p in one sector and q in the
-   other, so the solve and the vectors need no complex arithmetic.  A
-   coupling within rounding is dropped there, so the E = 0, pi modes of two
-   far-apart boundaries, whose splitting is unresolved, stay one mode per
-   boundary.
+   p's.  The rest lie within the floor of sin E = 0, so within 5e-5 of
+   cos E = +/-1: the unpaired q's, and as many of A0's eigenvectors
+   orthogonal to every p, from pivoted Cholesky on the complement and a
+   Rayleigh-Ritz ``eigh`` of A0 on it.  Those of one group (U's
+   components, joined over every site whose frame mixes them) and one sign
+   of cos E form a cluster spanning an invariant subspace of U, resolved by
+   a batched small ``eigh`` of U restricted to it, which the chiral
+   symmetry makes real: every eigenvector is p + iq with p in one sector
+   and q in the other, so the solve and the vectors need no complex
+   arithmetic.  A coupling within rounding is dropped there, so the E = 0,
+   pi modes of two far-apart boundaries, whose splitting is unresolved,
+   stay one mode per boundary.
 4. A pair's E is -atan2(sigma, cos E), from the map's norm and A1's
    eigenvalue, and a cluster's E the angle of its Rayleigh quotient
    v^H U v, both accurate at E = 0 and pi where arccos(cos E) is not.
    Each site's frame is folded into the entries of U's first factor (U,
    or U_oe on an even ring), one entry per row, which then moves the
    coefficients; the IPR comes from the coefficients (on an even ring,
-   with the first images on the odd sites), and no complex vector is
-   formed until it is read.
+   with the first images on the odd sites).  Every eigenvector is kept as
+   one record, a weighted coefficient row per sector: a pair's p and q, a
+   lone member's own row, or a cluster member's two combined rows, formed
+   once to be measured; no complex vector is formed until it is read.
 
 A largest eigen-residual ||Uv - e^{-iE} v|| above 1e-10, taken over U's
 rows through the action of U's entries (on an even ring, U_oe and then
@@ -82,16 +84,11 @@ from .boundstates import BoundStateSolution
 
 SIZE_CAP = 512
 
-# Eigenvector error of eigh across a cluster boundary is ~ eps ||U|| / gap,
-# which this gap keeps near 2e-12, well below the residual guard.  It applies
-# to the eigenvalues left unpaired by the partner map, both sectors' taken
-# together, sorted within a group; on an even ring these are the eigenvalues
-# cos 2E of U^2's block.
-_CLUSTER_GAP = 1e-4
 # A sector-1 eigenvector q gives its sector-0 partner p = P0 X q / sigma,
 # sigma = |sin E|, only above this floor: the pair's residual grows like
 # eps / sigma and the orthonormality error of the p's like eps / sigma^2
-# (2e-12 at this floor).  Vectors below it are left to the clusters.
+# (2e-12 at this floor).  Vectors below it are left to the clusters, so every
+# cluster lies within 5e-5 of cos E = +/-1.
 _PAIR_FLOOR = 1e-2
 _RESIDUAL_GUARD = 1e-10
 
@@ -256,34 +253,26 @@ def _resolve_clusters(upper, cos_e, sector):
     matrices G = Q^T U Q, shape (k, m, m), and is overwritten.  In a
     cluster's basis Q, G = diag(cos E) + A with A = Q^T K Q and
     K = (U - U^T)/2, so A is antisymmetric and equals G off the diagonal.
-    Each cluster is solved through the Hermitian
-    part H of e^{i phi} G, whose eigenvalues mu = cos(E - phi) separate
-    every distinct lambda of the cluster for phi = pi/2 (|cos E| > 1/2) or
-    pi/4; a +/-E pair is the 2 x 2 case.  Since Gamma U Gamma = U^T, A has
-    no entries within a sector, and with T = diag(i^sector) the matrix
-    T^H H T is real: cos(phi) cos E on the diagonal and
-    sin(phi) (sector_j - sector_k) A_jk off it, solved by a real ``eigh``.
-    For its unit eigenvector z, y = T z and lambda = y^H G y has real part
-    sum_j z_j^2 cos E_j and, since mu = Re(e^{i phi} lambda), imaginary part
-    (cos(phi) Re lambda - mu) / sin(phi).  Returns E = -arg(lambda) and the
-    real coefficients z: the eigenvector is sum_j z_j q_j over the sector-0
-    members plus i times that sum over the sector-1 members.
+    Each cluster is solved through the Hermitian part H of iG, whose
+    eigenvalues mu = sin E separate the cluster's eigenvalues, all of one
+    sign of cos E; a +/-E pair is the 2 x 2 case.  Since Gamma U Gamma = U^T,
+    A has no entries within a sector, and with T = diag(i^sector) the matrix
+    T^H H T is real, (sector_j - sector_k) A_jk with a zero diagonal, and
+    solved by a real ``eigh``.  For its unit eigenvector z, y = T z and
+    lambda = y^H G y = sum_j z_j^2 cos E_j - i mu.  Returns
+    E = -arg(lambda) and the real coefficients z: the eigenvector is
+    sum_j z_j q_j over the sector-0 members plus i times that sum over the
+    sector-1 members.
     """
     # A coupling within G's rounding is dropped: each member is then an eigenvector
     # to eps, and a pair whose splitting is unresolved (the E = 0, pi modes of two
     # far-apart boundaries) keeps one boundary's mode per sector vector.
     upper[np.abs(upper) <= np.finfo(float).eps] = 0.0
-    phase = np.where(np.abs(cos_e[:, 0]) > 0.5, np.pi / 2, np.pi / 4)
     # The upper triangle of T^H H T, read by eigh as the lower one of its transpose.
     side = sector.astype(np.int8)
     upper *= side[:, :, None] - side[:, None, :]
-    upper *= np.sin(phase)[:, None, None]
-    np.einsum("kii->ki", upper)[...] = np.cos(phase)[:, None] * cos_e
     mu, coeffs = np.linalg.eigh(upper.transpose(0, 2, 1))
-    del upper
-    re = np.einsum("ki,kij,kij->kj", cos_e, coeffs, coeffs)
-    im = (np.cos(phase)[:, None] * re - mu) / np.sin(phase)[:, None]
-    return np.arctan2(-im, re), coeffs
+    return np.arctan2(mu, np.einsum("ki,kij,kij->kj", cos_e, coeffs, coeffs)), coeffs
 
 
 def _two_step(cols: np.ndarray, vals: np.ndarray):
@@ -396,21 +385,6 @@ def _combine(coeffs: np.ndarray, sector: np.ndarray, rows: np.ndarray) -> list:
     ]
 
 
-def _cluster_vectors(span: np.ndarray, basis: np.ndarray, frame: np.ndarray, index: np.ndarray, coeffs, clusters):
-    """Vectors sum_j coeffs[k, j, i] W_s q[k, j] i^s of the members i of ``clusters`` k, 64 at a time.
-
-    q[k, j] is row index[k, j] of the coefficient ``basis``, s its sector
-    (see ``_eigenpairs``).  Yields the members' eigenpairs span[k, i] and
-    the real and imaginary parts of their vectors over the frame's rows.
-    """
-    step = max(1, 64 // span.shape[1])  # clusters per chunk, of at most 64 members each
-    for first in range(0, clusters.size, step):
-        at = clusters[first : first + step]
-        for top in range(0, span.shape[1], 64):
-            re, im = _combine(coeffs[at, :, top : top + 64], index[at] < len(frame), basis[index[at]])
-            yield span[at, top : top + 64].ravel(), _rows(re, frame, 0), _rows(im, frame, 1)
-
-
 def _complement(coef: np.ndarray, owner: np.ndarray, group: np.ndarray, cols: np.ndarray, vals: np.ndarray):
     """Eigenpairs of A = (X + X^T)/2 orthogonal to given eigenvectors, one group of sites at a time.
 
@@ -498,14 +472,14 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
     go last and are projected off the p's before them.  The rest, near
     E = 0 and pi, are the q's with sigma at most the floor and A0's
     eigenvectors orthogonal to every p (``_complement``), grouped by X's
-    components joined over every site whose frame mixes them: their
-    eigenvalues are sorted within groups, joined into clusters (gap below
-    ``_CLUSTER_GAP``), and each cluster is solved by ``_resolve_clusters``.
+    components joined over every site whose frame mixes them: one cluster
+    per group and sign of cos E, each solved by ``_resolve_clusters``.
     Returns E = -arg(lambda), the IPR, the largest eigen-residual, the
     coefficient ``basis`` whose rows are the q's (sector 1), then the p's
-    and A0's other eigenvectors (sector 0), and the solved clusters as a
-    list of (span, index, coeffs): the eigenvector of E[span[k, i]] is
-    sum_j coeffs[k, j, i] W_s q_j i^s, q_j = basis[index[k, j]] of sector s.
+    and A0's other eigenvectors (sector 0), then the two combined rows of
+    each member of a cluster of several, and one record (index, weight) per
+    eigenpair: the eigenvector of E[k] is
+    weight[k, 0] W_0 basis[index[k, 0]] + i weight[k, 1] W_1 basis[index[k, 1]].
     """
     sites, d = frame.shape[:2]
     size = len(cols)
@@ -546,8 +520,7 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
         sigma = np.sqrt(np.einsum("kp,kp->k", p, p))[:, None]
         p /= sigma
         if top >= first_small:  # off the p's before it, and orthonormal to first order within the chunk
-            before = basis[sites : sites + top]
-            p -= (p @ before.T) @ before
+            p -= (p @ basis[sites : sites + top].T) @ basis[sites : sites + top]
             p -= 0.5 * (p @ p.T - np.eye(len(p))) @ p
         basis[sites + top : sites + end] = p
         pair_e = -np.arctan2(sigma[:, 0], cos_e[keep[top:end]])  # (p + iq)/sqrt(2) has eigenvalue cos E + i sigma
@@ -555,41 +528,51 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
         energies[span[top:end]] = pair_e[:, None] * [1, -1]
         ipr[span[top:end]] = pair_ipr[:, None] / 4  # measured for p + iq, of norm sqrt(2)
         residual = max(residual, gap.max() * np.sqrt(0.5))
-    pair_coeffs = np.broadcast_to(np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]]), (keep.size, 2, 2))
-    solved = [(span, np.column_stack([sites + np.arange(keep.size), keep]), pair_coeffs)]
-    # The rest: the unpaired q's and A0's complement, in clusters of equal cos E
-    # within a group, solved by size, 32 members at a time.
+    index, weight = np.empty((size, 2), dtype=int), np.empty((size, 2))
+    index[span] = np.column_stack([sites + np.arange(keep.size), keep])[:, None]
+    weight[span] = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
+    # The rest, within the pair floor of sin E = 0: the unpaired q's and A0's
+    # complement, one cluster per group and sign of cos E, solved by size, 32
+    # members at a time.
     rest_e, basis[sites + keep.size :], rest_group = _complement(
         basis[sites : sites + keep.size], q_group[keep], site_group, sector_cols[:sites], sector_vals[:sites]
     )
     rest_rows = np.concatenate([unpaired, np.arange(sites + keep.size, 2 * sites)])
     rest_e = np.concatenate([cos_e[unpaired], rest_e])
-    rest_group = np.concatenate([q_group[unpaired], rest_group])
-    order = np.lexsort((rest_e, rest_group))
-    starts = np.flatnonzero(
-        np.concatenate([[order.size > 0], (np.diff(rest_e[order]) > _CLUSTER_GAP) | (np.diff(rest_group[order]) != 0)])
-    )
+    key = 2 * np.concatenate([q_group[unpaired], rest_group]) + (rest_e < 0)
+    order = np.lexsort((rest_e, key))
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     counts = np.diff(np.append(starts, order.size))
+    # Each member of a cluster of several gets its two combined rows appended, in
+    # place: resize raises if a view of the basis is still alive.
+    row = len(basis)
+    basis.resize((row + 2 * counts[counts > 1].sum(), sites))
     for count in np.flatnonzero(np.bincount(counts, minlength=1)):
         at = order[starts[counts == count][:, None] + np.arange(count)]
         at = at[np.argsort(rest_rows[at[:, 0]] < sites, kind="stable")]  # lone members in runs of one sector
-        index, span = rest_rows[at], 2 * keep.size + at
-        side = (index < sites).astype(int)
+        members, span = rest_rows[at], 2 * keep.size + at
+        side = (members < sites).astype(int)
         step = max(1, 32 // count)  # clusters at a time: at most 32 members, or one larger cluster
         parts = [slice(first, first + step) for first in range(0, len(at), step)]
         upper = np.zeros((len(at), count, count))  # G's strict upper triangle, from members 1..m-1 moved by X
         for part in parts if count > 1 else []:
-            q = _rows(basis[index[part]], frame, side[part])
+            q = _rows(basis[members[part]], frame, side[part])
             image = _apply(cols, vals, q[:, 1:].reshape(-1, size)).reshape(len(q), count - 1, size)
             upper[part, :, 1:] = np.triu(q @ image.transpose(0, 2, 1))
         energies[span], coeffs = _resolve_clusters(upper, rest_e[at], side)
+        if count == 1:  # a lone member is its own row, of weight 1 in its sector
+            index[span[:, 0]], weight[span[:, 0]] = members, np.eye(2)[side[:, 0]]
         for part in parts:  # a sector no member of the part lies in adds nothing
-            combined = _combine(coeffs[part], side[part], basis[index[part]])
+            combined = _combine(coeffs[part], side[part], basis[members[part]])
             measured = [(s, c, _images(chains[s], c)) for s, c in enumerate(combined) if np.any(side[part] == s)]
             ipr[span[part].ravel()], gap = _measure(frame, energies[span[part]].ravel(), measured)
             residual = max(residual, gap.max())
-        solved.append((span, index, coeffs))
-    return energies, ipr, residual, basis, solved
+            if count > 1:
+                n = len(combined[0])
+                basis[row : row + n], basis[row + n : row + 2 * n] = combined
+                index[span[part].ravel()], weight[span[part].ravel()] = row + np.arange(n)[:, None] + [0, n], 1.0
+                row += 2 * n
+    return energies, ipr, residual, basis, (index, weight)
 
 
 def _guard(residual: float) -> None:
@@ -605,8 +588,9 @@ def _eig_orthogonal(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
     (see ``_eigenpairs``).  Returns E = -arg(lambda) in (-pi, pi], the
     IPR of each eigenvector over the frame's sites, the largest
     eigen-residual ||Uv - lambda v||, and a function of sorted positions
-    that builds those unit eigenvectors as columns (``_assemble``); a
-    residual above ``_RESIDUAL_GUARD`` raises here, before any is built.
+    that builds those unit eigenvectors as columns from their records
+    (``_assemble``); a residual above ``_RESIDUAL_GUARD`` raises here,
+    before any is built.
 
     Row i lies on site i // 2.  When every nonzero entry joins sites of
     opposite parity, as on an even ring, U^2 is block-diagonal over the two
@@ -623,60 +607,47 @@ def _eig_orthogonal(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
     if bipartite:
         two_cols, two_vals, oe, eo = _two_step(cols, vals)
         frame = frame[::2]
-        phi, ipr, residual, basis, solved = _eigenpairs(two_cols, two_vals, frame, (oe, eo))
+        phi, ipr, residual, basis, records = _eigenpairs(two_cols, two_vals, frame, (oe, eo))
         energies = np.concatenate([phi / 2, phi / 2 + np.where(phi > 0, -np.pi, np.pi)])
         ipr, residual, lift = np.concatenate([ipr, ipr]), residual / np.sqrt(2), (oe, phi)
     else:
-        energies, ipr, residual, basis, solved = _eigenpairs(cols, vals, frame, ((cols, vals),))
+        energies, ipr, residual, basis, records = _eigenpairs(cols, vals, frame, ((cols, vals),))
         lift = None
     _guard(residual)
     energies[energies == -np.pi] = np.pi
     order = np.argsort(energies)
     energies = energies[order]
-    columns = functools.partial(_assemble, cols, vals, energies, order, basis, frame, solved, lift)
+    columns = functools.partial(_assemble, cols, vals, energies, order, basis, frame, records, lift)
     return energies, ipr[order], residual, columns
 
 
-def _assemble(cols, vals, energies, order, basis, frame, solved, lift, keep: np.ndarray) -> np.ndarray:
+def _assemble(cols, vals, energies, order, basis, frame, records, lift, keep: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of U at sorted positions ``keep``, as columns, guarded through U's entries.
 
     U[i, cols[i, j]] = vals[i, j] has the sorted ``energies``; ``order``
-    maps them to the eigenpairs of the clusters ``solved`` by
-    ``_eigenpairs`` from the coefficient rows of its real ``basis`` over the
-    sites of ``frame``, and only clusters with a kept member are combined
-    and expanded to rows.
-    With ``lift`` = (U_oe's entries, phi), the clusters are those of
-    M = U_eo U_oe, and the eigenpair M x = e^{-i phi} x is lifted to U's two
-    eigenvectors (see ``_eig_orthogonal``); an eigenvector's rows are
-    written contiguously.
+    maps them to the eigenpairs of X whose ``records`` (index, weight)
+    ``_eigenpairs`` gave over the coefficient rows of its real ``basis``
+    and the sites of ``frame``.  Each kept vector gathers its two rows,
+    64 vectors at a time, and is guarded as it is built.  With ``lift`` =
+    (U_oe's entries, phi), X is M = U_eo U_oe, whose eigenpair k gives U's
+    eigenpairs k and k + len(records[0]), M x = e^{-i phi} x lifted to
+    (x; +/- e^{i phi/2} U_oe x)/sqrt(2) (see ``_eig_orthogonal``).
     """
-    size = len(cols)
-    column = np.full(size, -1)  # eigenpairs not kept are written to a spare last row
-    column[order[keep]] = np.arange(keep.size)
-    rows = np.empty((keep.size + 1, size), dtype=complex)
-    sites = rows.reshape(keep.size + 1, -1, 2, 2) if lift else None  # (vector, site pair, parity, component)
-    for span, index, coeffs in solved:
-        wanted = column[span] >= 0
-        if lift:
-            wanted |= column[span + size // 2] >= 0
-        for slots, re, im in _cluster_vectors(span, basis, frame, index, coeffs, np.flatnonzero(wanted.any(axis=1))):
-            x = np.empty(re.shape, dtype=complex)
-            x.real, x.imag = re, im
-            if not lift:
-                rows[column[slots]] = x
-                continue
-            y = _apply(*lift[0], x)
-            y *= np.sqrt(0.5) * np.exp(0.5j * lift[1][slots])[:, None]
-            x *= np.sqrt(0.5)
-            x, y = x.reshape(len(slots), -1, 2), y.reshape(len(slots), -1, 2)
-            sites[column[slots], :, 0] = sites[column[slots + size // 2], :, 0] = x
-            sites[column[slots], :, 1] = y
-            sites[column[slots + size // 2], :, 1] = -y
-    rows = rows[:-1]
-    # A few rows at a time, the residual is taken through the action of U.
+    index, weight = records
+    rows = np.empty((keep.size, len(cols)), dtype=complex)
     residual = 0.0
-    for top in range(0, keep.size, 64):
-        chunk = rows[top : top + 64]
+    for top in range(0, keep.size, 64):  # a few rows at a time stay in cache
+        chunk, at = rows[top : top + 64], order[keep[top : top + 64]]
+        pick = at % len(index)
+        x = np.empty((len(at), 2 * len(frame)), dtype=complex) if lift else chunk
+        x.real = _rows(weight[pick, :1] * basis[index[pick, 0]], frame, 0)
+        x.imag = _rows(weight[pick, 1:] * basis[index[pick, 1]], frame, 1)
+        if lift:
+            y = _apply(*lift[0], x)
+            y *= np.sqrt(0.5) * np.exp(0.5j * lift[1][pick])[:, None] * np.where(at < len(index), 1, -1)[:, None]
+            x *= np.sqrt(0.5)
+            pairs = chunk.reshape(len(at), -1, 2, 2)  # (vector, site pair, parity, component)
+            pairs[:, :, 0], pairs[:, :, 1] = x.reshape(len(at), -1, 2), y.reshape(len(at), -1, 2)
         moved = _apply(cols, vals, chunk)
         moved -= chunk * np.exp(-1j * energies[keep[top : top + 64], None])
         moved = moved.view(float)
@@ -711,9 +682,21 @@ def circle_distance(energy, target: float):
     return np.abs(np.mod(np.asarray(energy) - target + np.pi, 2 * np.pi) - np.pi)
 
 
+def _ipr_threshold(length: int, ipr_threshold: float | None) -> float:
+    """The IPR a bound state must exceed on a ring of ``length`` sites: ``ipr_threshold``, by default 4/L.
+
+    A threshold that is not finite and non-negative raises ``ValueError``.
+    """
+    if ipr_threshold is None:
+        return 4.0 / length
+    if not 0 <= ipr_threshold < np.inf:
+        raise ValueError(f"ipr_threshold must be finite and non-negative, not {ipr_threshold}")
+    return float(ipr_threshold)
+
+
 def _bound_positions(result: SpectralResult, target: float, ipr_threshold: float | None = None) -> np.ndarray:
     """Positions in ``result`` of the states ``find_bound_states`` keeps, without building any vector."""
-    threshold = 4.0 / result.length if ipr_threshold is None else float(ipr_threshold)
+    threshold = _ipr_threshold(result.length, ipr_threshold)
     localized = np.nonzero(result.ipr > threshold * (1 + 8 * np.finfo(float).eps))[0]
     dist = circle_distance(result.quasi_energies[localized], target)
     localized, dist = localized[dist < np.pi / 2 - 1e-6], dist[dist < np.pi / 2 - 1e-6]
@@ -730,7 +713,8 @@ def find_bound_states(
     states of an all-reflecting ring of 8 sites) is never kept, whatever its
     last bits, and nearer the target than the other one: a circle distance
     below pi/2 - 1e-6, so the E = +/-pi/2 states of a reflecting exterior
-    are near neither.  Among those, the cluster at minimal circle distance
+    are near neither.  A threshold that is not finite and non-negative
+    raises ``ValueError``.  Among those, the cluster at minimal circle distance
     from the target is returned, so both members of a split pair are.  No
     such states is an empty result, not an error.
     """
@@ -835,12 +819,16 @@ def oracle_compare(
 
     Projects the analytic wavefunction onto the (possibly degenerate)
     eigenspace within 1e-6 of its quasi-energy and returns the squared
-    projection norm.  Raises when no eigenvector lies in that window.
+    projection norm.  Raises ``RuntimeError`` when no eigenvector lies in
+    that window, and ``ValueError`` when the solution, the profile or a given
+    ``result`` lie on rings of different lengths.
     """
     if analytic.wavefunction.length != profile.length:
         raise ValueError("analytic solution and profile live on different rings")
     if result is None:
         result = diagonalize(profile)
+    elif result.length != profile.length:
+        raise ValueError(f"result has {result.length} sites but profile has {profile.length}")
     sel = np.nonzero(circle_distance(result.quasi_energies, analytic.energy) < 1e-6)[0]
     if sel.size == 0:
         raise RuntimeError("no eigenvector matches the analytic quasi-energy")

@@ -93,6 +93,12 @@ class TestStepEvolve:
         assert evolve(state, prof, 0) is state
         assert np.allclose(evolve(state, prof, 1).amplitudes, step(state, prof).amplitudes)
 
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_evolve_rejects_other_ring(self, t):
+        # the ring lengths are checked before a zero step count returns the state
+        with pytest.raises(ValueError):
+            evolve(delta_state(4, 0), build_profile("uniform", 8, 0.3), t)
+
     def test_evolve_composes(self):
         rng = np.random.default_rng(7)
         state, prof = random_state(rng, 12), random_profile(rng, 12)

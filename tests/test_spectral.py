@@ -133,12 +133,18 @@ class TestDiagonalize:
 
     def test_misplaced_cluster_split_raises(self, monkeypatch):
         # the block's E = +/-0.0012 pairs (|sin 2E| below the pair floor) are
-        # clustered; with every cos E its own cluster, each pair is taken for
-        # two real eigenvectors, and the eigen-residual guard must reject that
-        # in diagonalize itself, before any vector is read
+        # clustered; with the coupling within each cluster zeroed, every member
+        # is taken for a real eigenvector, and the eigen-residual guard must
+        # reject that in diagonalize itself, before any vector is read
         profile = build_profile("symmetric", 16, -np.pi / 4, np.pi / 4, wire_length=6)
         assert np.min(np.abs(diagonalize(profile).quasi_energies)) > 1e-3
-        monkeypatch.setattr(spectral, "_CLUSTER_GAP", -1.0)
+        resolve = spectral._resolve_clusters
+
+        def uncoupled_resolve(upper, cos_e, sector):
+            upper[...] = 0.0
+            return resolve(upper, cos_e, sector)
+
+        monkeypatch.setattr(spectral, "_resolve_clusters", uncoupled_resolve)
         with pytest.raises(RuntimeError, match="eigen-residual"):
             diagonalize(profile)
 
@@ -222,8 +228,9 @@ def test_diagonalize_matches_dense_eig(kind, theta2, length):
     ids=["uniform", "symmetric", "symmetric-odd", "symmetric-256"],
 )
 def test_near_reflecting_coins_match_dense_eig(profile):
-    # coins close to +/- pi/2 give a narrow band that the cluster gap merges
-    # into clusters of tens to hundreds of members
+    # coins close to +/- pi/2 give a narrow band near E = +/-pi/2; on an even
+    # ring, M = U_eo U_oe folds it to within the pair floor of cos 2E = -1,
+    # one cluster per group of tens to hundreds of members
     assert_matches_dense_eig(profile)
 
 
@@ -567,6 +574,32 @@ def test_near_flat_band_stays_out_of_clusters(theta1, monkeypatch):
         assert find_bound_states(result, target).count == find_bound_states(reference, target).count
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [*CHIRAL_PROFILES, *ASSEMBLY_PROFILES]
+    + [build_profile("symmetric", 384, theta1 * np.pi, 0.7445 * np.pi, wire_length=10) for theta1 in (-0.52, -0.525, -0.55)],
+)
+def test_clusters_hold_one_sign_of_cos_e(profile, monkeypatch):
+    # a level is left to the clusters only with sin^2 E at most the pair floor
+    # squared, so each cluster (one per group and sign of cos E) has
+    # |cos E| >= sqrt(1 - floor^2); that bound stays above 1/sqrt(2), where
+    # mu = sin E parts a cluster's eigenvalues by at least 1/sqrt(2) of their distance
+    bound = np.sqrt(1 - spectral._PAIR_FLOOR**2)
+    assert bound > np.sqrt(0.5)
+    clusters = []
+    resolve = spectral._resolve_clusters
+
+    def recording_resolve(upper, cos_e, sector):
+        clusters.extend(cos_e)
+        return resolve(upper, cos_e, sector)
+
+    monkeypatch.setattr(spectral, "_resolve_clusters", recording_resolve)
+    diagonalize(profile)
+    for cos_e in clusters:
+        assert np.all(np.signbit(cos_e) == np.signbit(cos_e[0]))
+        assert np.all(np.abs(cos_e) >= bound)
+
+
 def test_one_sector_eigh_on_even_ring(monkeypatch):
     # only sector 1 of M = U_eo U_oe is diagonalized: one L/2-row eigh, and
     # every other eigh (the complement's Ritz step, the clusters) is small
@@ -636,10 +669,10 @@ def test_partner_map_vectors_are_orthonormal():
 
 
 def test_planted_spectrum_across_cluster_threshold():
-    # eigenvalue pairs whose cos E differ by just under and just over the
-    # clustering gap, near E = 0, pi/2 and pi and in between, plus exact
-    # degeneracies and real eigenvalues +1 and -1; pi/2 -/+ gap/4 share sin E
-    gap = spectral._CLUSTER_GAP
+    # eigenvalue pairs whose cos E differ by half and twice gap = 1e-4, near
+    # E = 0, pi/2 and pi and in between, plus exact degeneracies and real
+    # eigenvalues +1 and -1; pi/2 -/+ gap/4 share sin E
+    gap = 1e-4
     angles = []
     for base in (1e-3, 0.02, 0.4, np.pi / 2 - gap / 4, np.pi / 2, 2.0, np.pi - 0.02):
         for step_size in (0.5 * gap, 2.0 * gap):
@@ -698,6 +731,13 @@ class TestFindBoundStates:
     def test_threshold_override(self):
         result = diagonalize(build_profile("uniform", 64, np.pi / 4))
         assert find_bound_states(result, 0.0, ipr_threshold=0.0).count > 0
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -0.5])
+    def test_threshold_out_of_range(self, threshold):
+        # the rule the CLI's --ipr-threshold applies, so no value silently keeps nothing
+        result = diagonalize(build_profile("antisymmetric", 64, -np.pi / 4, np.pi / 4, wire_length=14))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            find_bound_states(result, 0.0, ipr_threshold=threshold)
 
     def test_reflecting_ends_localize_modes_at_positive_end(self):
         # +pi/2 exterior left of the block, -pi/2 right of it: the E=0, pi
@@ -908,6 +948,14 @@ class TestOracleCompare:
         sol = antisymmetric_mode(-np.pi / 4, np.pi / 4, 0.0, 10, 64)
         with pytest.raises(ValueError):
             oracle_compare(sol, build_profile("uniform", 32, 0.3))
+
+    def test_result_of_another_ring_rejected(self):
+        # the other ring's spectrum holds E = 0 too, so only the length check stops it
+        sol = antisymmetric_mode(-np.pi / 4, np.pi / 4, 0.0, 10, 64)
+        other = diagonalize(build_profile("antisymmetric", 32, -np.pi / 4, np.pi / 4, wire_length=10))
+        assert find_bound_states(other, 0.0).count > 0
+        with pytest.raises(ValueError, match="sites"):
+            oracle_compare(sol, sol.profile, result=other)
 
 
 class TestModeResidual:
