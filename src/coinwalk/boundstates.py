@@ -81,12 +81,17 @@ class BoundStateSolution:
     seam: tuple[int, int]
 
 
+def circle_distance(energy, target: float):
+    """Distance between quasi-energies on the 2-pi circle."""
+    return np.abs(np.mod(np.asarray(energy) - target + np.pi, 2 * np.pi) - np.pi)
+
+
 def _energy_family(energy: float) -> float:
-    if abs(energy) <= 1e-12:
-        return 0.0
-    if abs(energy - np.pi) <= 1e-12:
-        return float(np.pi)
-    raise ValueError("closed-form boundary modes exist only at quasi-energy 0 or pi")
+    """0 or pi, whichever ``energy`` lies within 1e-12 of on the 2-pi circle: -pi is pi and 2 pi is 0."""
+    near = np.flatnonzero(circle_distance(energy, np.array([0.0, np.pi])) <= 1e-12)
+    if near.size == 0:
+        raise ValueError("closed-form boundary modes exist only at quasi-energy 0 or pi")
+    return float(np.pi * near[0])
 
 
 def _decay(theta: float):
@@ -217,7 +222,7 @@ def antisymmetric_condition_residual(
     _check_angle(theta1)
     _check_angle(theta2)
     # float(pi) stands for exact pi here, where the factor vanishes identically
-    sin_e = 0.0 if min(abs(energy), abs(energy - np.pi), abs(energy + np.pi)) < 1e-12 else np.sin(energy)
+    sin_e = 0.0 if circle_distance(energy, np.array([0.0, np.pi])).min() <= 1e-12 else np.sin(energy)
     (gap1, kappa1), (gap2, kappa2) = _decay(theta1), _decay(theta2)
     k1, k2 = kappa1(gap1(sin_e)), kappa2(gap2(sin_e))
     span = k2 * (int(block_length) + 1)

@@ -16,16 +16,16 @@ arithmetic, with numpy alone:
    [[-sin, cos], [cos, sin]] of each coin satisfies Gamma U Gamma = U^T, so
    in the frame W of each site's two Gamma_n eigenvectors (the sectors)
    W^T U W = [[A0, C], [-C^T, A1]] with A0 and A1 symmetric, and the
-   symmetric part is diag(A0, A1).  Only sector 1's periodic tridiagonal
-   block A1 is built, from U's entries alone, and its components are
-   diagonalized by ``np.linalg.eigh``, components of one size in one
-   batched call; every vector is kept as coefficients over its sector's
-   frame vectors, one per site.  On an even ring, where U's entries all
-   join sites of opposite parity, U^2 splits over the two sublattices:
-   steps 1-4 then act on its even-site block M = U_eo U_oe, half the size
-   of U, with eigenvalues exp(-2iE) and Gamma_e M Gamma_e = M^T for the
-   even sites' reflections, and each eigenpair of M gives two eigenpairs
-   of U, at E and E + pi.
+   symmetric part is diag(A0, A1).  Both periodic tridiagonal blocks are
+   built from U's entries alone, indexed by site; only A1's components are
+   diagonalized, by ``np.linalg.eigh``, components of one size in one
+   batched call, and A0's entries feed the Ritz solve of step 3.  Every
+   vector is kept as coefficients over its sector's frame vectors, one per
+   site.  On an even ring, where U's entries all join sites of opposite
+   parity, U^2 splits over the two sublattices: steps 1-4 then act on its
+   even-site block M = U_eo U_oe, half the size of U, with eigenvalues
+   exp(-2iE) and Gamma_e M Gamma_e = M^T for the even sites' reflections,
+   and each eigenpair of M gives two eigenpairs of U, at E and E + pi.
 3. Orthogonality gives A0 C = C A1 and C^T C = 1 - A1^2, so an eigenvector
    q of A1 at cos E has a sector-0 part of U q of norm sigma = |sin E|, and
    p = P0 U q / sigma is A0's eigenvector at the same cos E: the pair's
@@ -80,7 +80,7 @@ import numpy as np
 
 from . import boundstates
 from .lattice import CoinProfile, _chiral_frame, _coin_entries, step
-from .boundstates import BoundStateSolution
+from .boundstates import BoundStateSolution, circle_distance
 
 SIZE_CAP = 512
 
@@ -117,7 +117,7 @@ def build_unitary(profile: CoinProfile) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralResult:
     """Eigen-decomposition of a one-step unitary, sorted by quasi-energy.
 
@@ -130,15 +130,16 @@ class SpectralResult:
     columns at given positions: its ``vectors`` are built, and guarded
     against the eigen-residual bound, on first read, and until then
     ``columns`` builds only the columns asked for.  A subset taken by
-    ``find_bound_states`` builds its columns when it is taken.
+    ``find_bound_states`` builds its columns when it is taken.  Neither
+    ``repr`` nor ``==`` reads ``vectors``: results compare by identity.
     """
 
     quasi_energies: np.ndarray
-    vectors: np.ndarray | None
+    vectors: np.ndarray | None = field(repr=False)
     ipr: np.ndarray
     length: int
     indices: np.ndarray
-    _build: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False, compare=False)
+    _build: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.vectors is None and self._build is not None:  # built by __getattr__ on first read
@@ -217,20 +218,21 @@ def _symmetric_blocks(cols: np.ndarray, vals: np.ndarray, nodes: np.ndarray) -> 
     return stack
 
 
-def _block_eigh(cols, vals, members: np.ndarray, sizes: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Eigenpairs of (X + X^T)/2 for some sector blocks X, written as coefficient rows over sites.
+def _block_eigh(cols: np.ndarray, vals: np.ndarray, basis: np.ndarray):
+    """Eigenpairs of (X + X^T)/2 for a sector block X, written as coefficient rows over its sites.
 
-    X is given by its entries X[i, cols[i, j]] = vals[i, j] on nodes
-    s * sites + p, sector s of site p.  The nodes ``members`` are whole
-    connected components of X, all of them or only one sector's; taken in
-    that order, their rows and columns form diagonal blocks of the sizes
-    listed in ``sizes``, equal sizes adjacent.  Each run of equal blocks
-    takes one batched ``np.linalg.eigh``.  Returns the eigenvalues, sorted
-    within each block, and writes eigenvector k into row k of the zeroed
-    (len(members), sites) ``basis``: node s * sites + p at column p.
+    X is given by its entries X[i, cols[i, j]] = vals[i, j], one node per
+    site.  Its connected components, ordered by size and then by label, form
+    diagonal blocks, and each run of equal sizes takes one batched
+    ``np.linalg.eigh``.  Returns the eigenvalues, sorted within each block,
+    and the sites in that order; eigenvector k is written into row k of the
+    zeroed (sites, sites) ``basis``.
     """
-    sites = basis.shape[1]
-    values = np.empty(len(members))
+    sites = len(cols)
+    labels = _components(cols, vals)
+    sizes = np.bincount(labels)
+    members = np.lexsort((labels, sizes[labels]))
+    values = np.empty(sites)
     top = 0
     for block, count in zip(*np.unique(sizes, return_counts=True)):
         end = top + block * count
@@ -239,9 +241,9 @@ def _block_eigh(cols, vals, members: np.ndarray, sizes: np.ndarray, basis: np.nd
         values[top:end] = eigenvalues.ravel()
         # rows top..end of basis as (block, site, eigenvalue), so that a node takes one strided run
         rows = basis[top:end].reshape(count, block, sites).transpose(0, 2, 1)
-        rows[np.arange(count)[:, None], nodes % sites] = vectors
+        rows[np.arange(count)[:, None], nodes] = vectors
         top = end
-    return values
+    return values, members
 
 
 def _resolve_clusters(upper, cos_e, sector):
@@ -295,22 +297,17 @@ def _two_step(cols: np.ndarray, vals: np.ndarray):
 
 
 def _sectors(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray):
-    """Entries of the sector blocks W_s^T U W_s, every sector s in one block-diagonal matrix.
+    """Entries (cols, vals) of each sector block W_s^T U W_s, indexed by site.
 
     Row i of U[i, cols[i, j]] = vals[i, j] lies on site i // d, component
     i % d, of ``frame`` (sites, d, d), and w_s[i] = frame[i // d, i % d, s].
-    Entry (r, c, v) adds w_s[r] v w_s[c] at (site r, site c) of sector s,
-    node s * sites + site of the returned matrix; entries between sectors
-    are never formed.
+    Entry (r, c, v) adds w_s[r] v w_s[c] at (site r, site c) of sector s;
+    entries between sectors are never formed.
     """
     sites, d = frame.shape[:2]
     weight = frame.reshape(len(cols), d)
     site_cols = (cols // d).reshape(sites, -1)
-    sector_vals = [weight[:, [sector]] * vals * weight[cols, sector] for sector in range(d)]
-    return (
-        np.concatenate([site_cols + sector * sites for sector in range(d)]),
-        np.concatenate([entries.reshape(sites, -1) for entries in sector_vals]),
-    )
+    return [(site_cols, (weight[:, [s]] * vals * weight[cols, s]).reshape(sites, -1)) for s in range(d)]
 
 
 def _fold(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray) -> list:
@@ -459,11 +456,12 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
     d = 2, whose columns at every site are the +1 and -1 eigenvectors of a
     site's reflection Gamma with Gamma X Gamma = X^T: the two sectors.  In
     their frame W, W^T X W = [[A0, C], [-C^T, A1]] with A0, A1 symmetric,
-    and orthogonality gives A0 C = C A1 and C^T C = 1 - A1^2.  So only A1,
-    built from X's entries alone, is solved: for its unit eigenvector q at
-    cos E, sigma = ||P0 X q|| = |sin E| (P0 the sector-0 part, a per-site
-    frame dot), and p = P0 X q / sigma is A0's eigenvector at the same
-    cos E, exact even within a degenerate cluster.  Vectors are coefficients
+    and orthogonality gives A0 C = C A1 and C^T C = 1 - A1^2.  Both blocks
+    are built from X's entries alone (``_sectors``), but only A1 is
+    diagonalized (``_block_eigh``): for its unit eigenvector q at cos E,
+    sigma = ||P0 X q|| = |sin E| (P0 the sector-0 part, a per-site frame
+    dot), and p = P0 X q / sigma is A0's eigenvector at the same cos E,
+    exact even within a degenerate cluster.  Vectors are coefficients
     over their sector's frame vectors, one per site; ``factors`` holds the
     entries of F1, F2, ... with product X, and F1 W_s (``_fold``) takes
     coefficient rows.  For sigma above ``_PAIR_FLOOR`` the pair's vectors
@@ -471,9 +469,10 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
     sigma below ten times the floor, whose overlaps grow like eps / sigma^2,
     go last and are projected off the p's before them.  The rest, near
     E = 0 and pi, are the q's with sigma at most the floor and A0's
-    eigenvectors orthogonal to every p (``_complement``), grouped by X's
-    components joined over every site whose frame mixes them: one cluster
-    per group and sign of cos E, each solved by ``_resolve_clusters``.
+    eigenvectors orthogonal to every p (``_complement``, a Rayleigh-Ritz
+    solve on A0's entries), grouped by X's components joined over every
+    site whose frame mixes them: one cluster per group and sign of cos E,
+    each solved by ``_resolve_clusters``.
     Returns E = -arg(lambda), the IPR, the largest eigen-residual, the
     coefficient ``basis`` whose rows are the q's (sector 1), then the p's
     and A0's other eigenvectors (sector 0), then the two combined rows of
@@ -484,25 +483,18 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
     sites, d = frame.shape[:2]
     size = len(cols)
     weight = frame.reshape(size, d)
-    sector_cols, sector_vals = _sectors(cols, vals, frame)
-    labels = _components(sector_cols, sector_vals)
-    sizes = np.bincount(labels)
-    # Sector 1's nodes sites..2 sites - 1 sorted by component size, then component:
-    # the components of one size are a run of equal diagonal blocks.
-    members = np.lexsort((labels, sizes[labels]))
-    members = members[members >= sites]
+    blocks = _sectors(cols, vals, frame)
     basis = np.zeros((2 * sites, sites))
-    sizes_1 = np.bincount(labels[sites:])  # components never join the sectors
-    cos_e = _block_eigh(sector_cols, sector_vals, members, np.sort(sizes_1[sizes_1 > 0]), basis[:sites])
+    cos_e, members = _block_eigh(*blocks[1], basis[:sites])
     chains = [(first, *factors[1:]) for first in _fold(*factors[0], frame)]  # F1 W_s, F2, ... for each sector s
     # Groups: X's components joined with the rows of every site whose frame mixes them.
     rows = np.arange(size)
     partner = rows - rows % d + (rows + 1) % d
     mixed = (weight * weight[partner]).any(axis=1)
     group = _components(np.column_stack([cols, partner]), np.column_stack([vals, mixed]))
-    strongest = np.abs(frame).argmax(axis=1)  # (site, sector): the row each node is grouped by
-    site_group = group[np.arange(sites) * d + strongest[:, 0]]
-    q_group = group[(members - sites) * d + strongest[members - sites, 1]]
+    # (site, sector): the group of the row each node is grouped by, its frame vector's largest component
+    node_group = group[np.arange(sites)[:, None] * d + np.abs(frame).argmax(axis=1)]
+    q_group = node_group[members, 1]
     # sigma^2 = q^T C^T C q = 1 - cos^2 E, so the vectors q left unpaired, and the
     # p's to re-orthogonalize, which go last, are known before X is applied.  Pair
     # member 0 is (p + iq)/sqrt(2) at E and member 1 is (p - iq)/sqrt(2) at -E.
@@ -535,7 +527,7 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
     # complement, one cluster per group and sign of cos E, solved by size, 32
     # members at a time.
     rest_e, basis[sites + keep.size :], rest_group = _complement(
-        basis[sites : sites + keep.size], q_group[keep], site_group, sector_cols[:sites], sector_vals[:sites]
+        basis[sites : sites + keep.size], q_group[keep], node_group[:, 0], *blocks[0]
     )
     rest_rows = np.concatenate([unpaired, np.arange(sites + keep.size, 2 * sites)])
     rest_e = np.concatenate([cos_e[unpaired], rest_e])
@@ -675,11 +667,6 @@ def diagonalize(profile: CoinProfile) -> SpectralResult:
         indices=np.arange(energies.size),
         _build=columns,
     )
-
-
-def circle_distance(energy, target: float):
-    """Distance between quasi-energies on the 2-pi circle."""
-    return np.abs(np.mod(np.asarray(energy) - target + np.pi, 2 * np.pi) - np.pi)
 
 
 def _ipr_threshold(length: int, ipr_threshold: float | None) -> float:

@@ -65,6 +65,10 @@ class TestDecayConstant:
         with pytest.raises(ValueError):
             decay_constant(np.pi / 4, 0.3)
 
+    @pytest.mark.parametrize("energy,family", [(-np.pi, np.pi), (2 * np.pi, 0.0), (3 * np.pi, np.pi)])
+    def test_energy_taken_on_the_circle(self, energy, family):
+        assert decay_constant(0.3, energy) == decay_constant(0.3, family)
+
     @pytest.mark.parametrize("energy", [0.0, np.pi], ids=["0", "pi"])
     @pytest.mark.parametrize("theta", [1e-4, -1e-4, 0.01, -0.01, np.pi - 1e-4, 1e-4 - np.pi])
     def test_full_precision_next_to_gap_lines(self, theta, energy):
@@ -137,9 +141,9 @@ class TestBlockConditions:
         with pytest.raises(ValueError):
             wire_condition_residual(0.3 * np.pi, -0.25 * np.pi, 0.45 * np.pi, 3)
 
-    def test_antisymmetric_vanishes_at_special_energies(self):
-        assert antisymmetric_condition_residual(-np.pi / 4, np.pi / 4, 0.0, 7) == 0.0
-        assert antisymmetric_condition_residual(-np.pi / 4, np.pi / 4, np.pi, 7) == 0.0
+    @pytest.mark.parametrize("energy", [0.0, np.pi, -np.pi, 2 * np.pi, np.pi + 5e-13])
+    def test_antisymmetric_vanishes_at_special_energies(self, energy):
+        assert antisymmetric_condition_residual(-np.pi / 4, np.pi / 4, energy, 7) == 0.0
 
     def test_antisymmetric_nonzero_inside_gap(self):
         assert abs(antisymmetric_condition_residual(-np.pi / 3, np.pi / 3, 0.1, 5)) > 1e-3
@@ -391,6 +395,23 @@ class TestAntisymmetricMode:
 MAJORANA_ANGLES = [
     (-sign * mag1, sign * mag2) for sign in (1, -1) for mag2 in (0.35, 0.65) for mag1 in (0.3, 0.7)
 ]
+
+
+@pytest.mark.parametrize("energy,family", [(-np.pi, np.pi), (2 * np.pi, 0.0), (-2 * np.pi, 0.0)])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda energy: single_boundary_mode(0.25 * np.pi, -0.25 * np.pi, energy, 64),
+        lambda energy: antisymmetric_mode(-0.3 * np.pi, 0.35 * np.pi, energy, 8, 64),
+    ],
+    ids=["single", "antisymmetric"],
+)
+def test_modes_take_energy_on_the_circle(build, energy, family):
+    # E = -pi is the pi mode and E = 2 pi the E = 0 one, as in diagonalize
+    mode, reference = build(energy), build(family)
+    assert mode.energy == family
+    assert np.array_equal(mode.wavefunction.amplitudes, reference.wavefunction.amplitudes)
+    assert mode_residual(mode) < 1e-10
 
 
 class TestMajoranaModesAreReal:

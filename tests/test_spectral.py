@@ -354,22 +354,18 @@ def test_chiral_frame_of_reflecting_coins_is_exact():
 
 
 def block_eigh(profile, two_step=False):
-    """``spectral._block_eigh`` of both sectors of U, or of M = U_eo U_oe, components ordered by size."""
+    """``spectral._block_eigh`` of both sectors of U, or of M = U_eo U_oe, as vectors over U's rows."""
     cols, vals = spectral._coin_shift(profile)
     frame = spectral._chiral_frame(profile.angles)
     if two_step:
         cols, vals = spectral._two_step(cols, vals)[:2]
         frame = frame[::2]
-    cols, vals = spectral._sectors(cols, vals, frame)
-    labels = spectral._components(cols, vals)
-    sizes = np.bincount(labels)
-    members = np.lexsort((labels, sizes[labels]))
-    sites = len(frame)
-    coef = np.zeros((len(cols), sites))
-    values = spectral._block_eigh(cols, vals, members, np.sort(sizes), coef)
-    # row k holds coefficients over the frame vectors of its block's sector, node members[k] // sites
-    rows = coef[:, :, None] * frame.transpose(2, 0, 1)[members // sites]
-    return values, rows.reshape(len(cols), -1)
+    values, rows = [], []
+    for sector, block in enumerate(spectral._sectors(cols, vals, frame)):
+        coef = np.zeros((len(frame),) * 2)
+        values.append(spectral._block_eigh(*block, coef)[0])
+        rows.append((coef[:, :, None] * frame[:, :, sector]).reshape(len(frame), -1))
+    return np.concatenate(values), np.concatenate(rows)
 
 
 @pytest.mark.parametrize(
@@ -510,6 +506,15 @@ def test_lazy_result_stays_a_frozen_dataclass():
     assert np.max(np.abs(result.vectors[:, keep] - subset)) <= 1e-15
     assert dataclasses.replace(result).vectors is result.vectors
     assert result.columns([3]).shape == (32, 1)
+
+
+def test_result_repr_and_equality_build_no_vector():
+    # repr leaves the lazy vectors unbuilt, and == is identity, not an array comparison
+    profile = build_profile("uniform", 16, 0.3 * np.pi)
+    result, other = diagonalize(profile), diagonalize(profile)
+    assert "quasi_energies=" in repr(result) and "vectors" not in repr(result)
+    assert "vectors" not in result.__dict__
+    assert result == result and result != other
 
 
 def test_unresolved_pair_keeps_boundary_modes_apart():
