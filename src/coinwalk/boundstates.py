@@ -180,13 +180,21 @@ def _wire_window(theta1: float, theta2: float) -> float:
     return min(abs(theta1), np.pi - abs(theta1), abs(theta2), np.pi - abs(theta2))
 
 
+def _block_lengths(block_length) -> np.ndarray:
+    """``block_length`` as an integer array, 0-d for a scalar; ``ValueError`` unless every entry is an integer >= 0."""
+    lengths = np.asarray(block_length)
+    if lengths.dtype.kind not in "iu" or np.any(lengths < 0):
+        raise ValueError(f"block lengths must be integers >= 0, not {block_length!r}")
+    return lengths
+
+
 def _wire_terms(theta1: float, theta2: float, block_length):
     """E -> (sin E, A, B, x = k2 (N+1)) of the equal-exterior condition, elementwise; E-free work done once.
 
     B comes from (|cos t_i| sinh k_i)^2 = s_i^2 - sin^2 E = (|s_i| - sin E)(|s_i| + sin E).
     """
     s1, s2, (gap_of, kappa_of) = np.sin(theta1), np.sin(theta2), _decay(theta2)
-    abs1, product, span = abs(s1), s1 * s2, np.asarray(block_length) + 1
+    abs1, product, span = abs(s1), s1 * s2, _block_lengths(block_length) + 1
 
     def terms(energy):
         sin_e = np.sin(energy)
@@ -202,7 +210,7 @@ def wire_condition_residual(
 ) -> float:
     """sinh(x) A - cosh(x) B of the equal-exterior condition; roots are bound-state energies.
 
-    Defined in the window |E| <= min(|theta_i|, pi - |theta_i|) below every band.
+    Defined in the window |E| <= min(|theta_i|, pi - |theta_i|) below every band, for integers N >= 0.
     """
     _check_angle(theta1)
     _check_angle(theta2)
@@ -225,7 +233,7 @@ def antisymmetric_condition_residual(
     sin_e = 0.0 if circle_distance(energy, np.array([0.0, np.pi])).min() <= 1e-12 else np.sin(energy)
     (gap1, kappa1), (gap2, kappa2) = _decay(theta1), _decay(theta2)
     k1, k2 = kappa1(gap1(sin_e)), kappa2(gap2(sin_e))
-    span = k2 * (int(block_length) + 1)
+    span = k2 * (_block_lengths(block_length) + 1)
     bracket = np.cos(theta1) * np.sinh(k1) * np.tanh(span) + np.cos(theta2) * np.sinh(k2)
     return float(sin_e * bracket)
 
@@ -344,7 +352,7 @@ def antisymmetric_mode(
     """
     energy = _energy_family(energy)
     _require_boundary_modes(theta1, theta2)
-    n_block = int(block_length)
+    n_block = int(_block_lengths(block_length))
     profile = build_profile("antisymmetric", length, theta1, theta2, wire_length=n_block, offset=offset)
     z1, kappa1, xi1 = _tail(theta1, energy, decaying=False)
     z2, kappa2, xi2 = _tail(theta2, energy, decaying=True)

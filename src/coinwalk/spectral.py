@@ -37,23 +37,21 @@ arithmetic, with numpy alone:
    orthogonal to every p, from pivoted Cholesky on the complement and a
    Rayleigh-Ritz ``eigh`` of A0 on it.  Those of one group (U's
    components, joined over every site whose frame mixes them) and one sign
-   of cos E form a cluster spanning an invariant subspace of U, resolved by
-   a batched small ``eigh`` of U restricted to it, which the chiral
-   symmetry makes real: every eigenvector is p + iq with p in one sector
-   and q in the other, so the solve and the vectors need no complex
-   arithmetic.  A coupling within rounding is dropped there, so the E = 0,
-   pi modes of two far-apart boundaries, whose splitting is unresolved,
-   stay one mode per boundary.
-4. A pair's E is -atan2(sigma, cos E), from the map's norm and A1's
-   eigenvalue, and a cluster's E the angle of its Rayleigh quotient
-   v^H U v, both accurate at E = 0 and pi where arccos(cos E) is not.
-   Each site's frame is folded into the entries of U's first factor (U,
-   or U_oe on an even ring), one entry per row, which then moves the
-   coefficients; the IPR comes from the coefficients (on an even ring,
-   with the first images on the odd sites).  Every eigenvector is kept as
-   one record, a weighted coefficient row per sector: a pair's p and q, a
-   lone member's own row, or a cluster member's two combined rows, formed
-   once to be measured; no complex vector is formed until it is read.
+   of cos E form a cluster, an invariant subspace of U on which U couples
+   the sectors through one real block B, resolved by a batched SVD of B:
+   each singular triple B v = s u, s > 0, rotates one member row per sector
+   into a pair's p and q, and every other rotated row is an eigenvector
+   alone, at E = 0 or pi.  A coupling within rounding is dropped, so the
+   E = 0, pi modes of two far-apart boundaries, split below rounding, stay
+   one mode per boundary.
+4. A pair's E is -atan2(sigma, cos E), or -atan2(s, m) in a cluster, m the
+   mean of cos E over its two rows, accurate at E = 0 and pi where
+   arccos(cos E) is not.  Each site's frame is folded into the entries of
+   U's first factor (U, or U_oe on an even ring), one entry per row, which
+   then moves the coefficients; the IPR comes from the coefficients (on an
+   even ring, with the first images on the odd sites).  Each eigenvector is
+   one record, a pair's p and q or a lone row: no complex vector is formed
+   until it is read.
 
 A largest eigen-residual ||Uv - e^{-iE} v|| above 1e-10, taken over U's
 rows through the action of U's entries (on an even ring, U_oe and then
@@ -246,35 +244,30 @@ def _block_eigh(cols: np.ndarray, vals: np.ndarray, basis: np.ndarray):
     return values, members
 
 
-def _resolve_clusters(upper, cos_e, sector):
-    """Eigenpairs of U restricted to k clusters of m members each.
+def _resolve_clusters(coupling, cos_0, cos_1):
+    """Eigenpairs of X restricted to k clusters of n0 sector-0 and n1 sector-1 members each.
 
-    The clusters' members are eigenvectors q of (U + U^T)/2, with
-    eigenvalues ``cos_e`` and chiral sectors ``sector``, 0 or 1, both with
-    shape (k, m); ``upper`` holds the strict upper triangles of their
-    matrices G = Q^T U Q, shape (k, m, m), and is overwritten.  In a
-    cluster's basis Q, G = diag(cos E) + A with A = Q^T K Q and
-    K = (U - U^T)/2, so A is antisymmetric and equals G off the diagonal.
-    Each cluster is solved through the Hermitian part H of iG, whose
-    eigenvalues mu = sin E separate the cluster's eigenvalues, all of one
-    sign of cos E; a +/-E pair is the 2 x 2 case.  Since Gamma U Gamma = U^T,
-    A has no entries within a sector, and with T = diag(i^sector) the matrix
-    T^H H T is real, (sector_j - sector_k) A_jk with a zero diagonal, and
-    solved by a real ``eigh``.  For its unit eigenvector z, y = T z and
-    lambda = y^H G y = sum_j z_j^2 cos E_j - i mu.  Returns
-    E = -arg(lambda) and the real coefficients z: the eigenvector is
-    sum_j z_j q_j over the sector-0 members plus i times that sum over the
-    sector-1 members.
+    The members, eigenvectors of (X + X^T)/2 with columns Q0 and Q1, lie at
+    ``cos_0`` (k, n0) and ``cos_1`` (k, n1), all of one sign; ``coupling``
+    (k, n0, n1), overwritten, holds B = (W0 Q0)^T X (W1 Q1).  Since
+    Gamma X Gamma = X^T, Q^T X Q = diag(cos E) + [[0, B], [-B^T, 0]], so for
+    B v = s u, W0 Q0 u + i W1 Q1 v has Rayleigh quotient m + i s, m the mean
+    of cos E over u and v.  Returns B's SVD u, s, v^T and the E (k, n0 + n1)
+    of the rotated rows U^T Q0^T, then V^T Q1^T: -atan2(s, m) at sector-0
+    row j (the member p + iq) and +atan2(s, m) at sector-1 row j where
+    s_j > 0, and atan2(0, cos E), 0 or pi, at every other row, alone.
     """
-    # A coupling within G's rounding is dropped: each member is then an eigenvector
-    # to eps, and a pair whose splitting is unresolved (the E = 0, pi modes of two
-    # far-apart boundaries) keeps one boundary's mode per sector vector.
-    upper[np.abs(upper) <= np.finfo(float).eps] = 0.0
-    # The upper triangle of T^H H T, read by eigh as the lower one of its transpose.
-    side = sector.astype(np.int8)
-    upper *= side[:, :, None] - side[:, None, :]
-    mu, coeffs = np.linalg.eigh(upper.transpose(0, 2, 1))
-    return np.arctan2(mu, np.einsum("ki,kij,kij->kj", cos_e, coeffs, coeffs)), coeffs
+    # A coupling within rounding is dropped: each member is then an eigenvector to
+    # eps, and a pair whose splitting is unresolved (the E = 0, pi modes of two
+    # far-apart boundaries) keeps one boundary's mode per sector vector, at s = 0.
+    coupling[np.abs(coupling) <= np.finfo(float).eps] = 0.0
+    u, s, vh = np.linalg.svd(coupling)
+    n0, n = cos_0.shape[1], s.shape[1]
+    cosine = np.concatenate([np.einsum("kji,kj->ki", u * u, cos_0), np.einsum("kij,kj->ki", vh * vh, cos_1)], axis=1)
+    cosine[:, :n] = cosine[:, n0 : n0 + n] = (cosine[:, :n] + cosine[:, n0 : n0 + n]) / 2
+    sine = np.zeros_like(cosine)
+    sine[:, :n], sine[:, n0 : n0 + n] = np.where(s > 0, -s, 0.0), s  # no -0.0: a lone row's E is 0 or pi
+    return u, s, vh, np.arctan2(sine, cosine)
 
 
 def _two_step(cols: np.ndarray, vals: np.ndarray):
@@ -342,17 +335,17 @@ def _rows(coef: np.ndarray, frame: np.ndarray, sector) -> np.ndarray:
 
 
 def _measure(frame: np.ndarray, energies: np.ndarray, parts: list):
-    """IPR and eigen-residual of unit vectors x = sum_s i^s W_s c_s of X = ... F2 F1 at E.
+    """IPR and eigen-residual of vectors x = sum_s i^s W_s c_s of X = ... F2 F1 at E.
 
-    ``parts`` holds (s, c_s, images) for sector s, one or both, sector 0
-    first: c_s has one coefficient row per vector over the sites of
-    ``frame``, and ``images`` its ``_images`` under F1 W_s, F2, ..., the
-    last X W_s c_s.  x and its images under all factors but the last share
-    x's unit weight: x's probability at a site is the sum of c_s^2 (each
-    site's frame is orthonormal); on an even ring x and U_oe x are the
-    halves of U's eigenvector lifted from M = U_eo U_oe.  The residual
-    ||X x - e^{-iE} x|| at the ``energies`` E, over X's rows, overwrites the
-    last images.
+    ``parts`` holds (s, c_s, images) for sector s, one (a lone row) or both
+    (a pair's p + iq), sector 0 first: c_s has one unit coefficient row per
+    vector over the sites of ``frame``, and ``images`` its ``_images`` under
+    F1 W_s, F2, ..., the last X W_s c_s.  x and its images under all
+    factors but the last share x's weight: x's probability at a site is the
+    sum of c_s^2 (each site's frame is orthonormal); on an even ring x and
+    U_oe x are the halves of U's eigenvector lifted from M = U_eo U_oe.  The
+    residual ||X x - e^{-iE} x|| at the ``energies`` E, over X's rows,
+    overwrites the last images.  Both are x's own, not its unit vector's.
     """
     count, d, stages = len(energies), frame.shape[1], len(parts[0][2])
     ipr = np.zeros(count)
@@ -472,29 +465,29 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
     eigenvectors orthogonal to every p (``_complement``, a Rayleigh-Ritz
     solve on A0's entries), grouped by X's components joined over every
     site whose frame mixes them: one cluster per group and sign of cos E,
-    each solved by ``_resolve_clusters``.
+    each solved by ``_resolve_clusters``, whose SVD rotates the members' rows
+    in place into pairs and lone rows.
     Returns E = -arg(lambda), the IPR, the largest eigen-residual, the
     coefficient ``basis`` whose rows are the q's (sector 1), then the p's
-    and A0's other eigenvectors (sector 0), then the two combined rows of
-    each member of a cluster of several, and one record (index, weight) per
-    eigenpair: the eigenvector of E[k] is
+    and A0's other eigenvectors (sector 0), and one record (index, weight)
+    per eigenpair: the eigenvector of E[k] is
     weight[k, 0] W_0 basis[index[k, 0]] + i weight[k, 1] W_1 basis[index[k, 1]].
     """
     sites, d = frame.shape[:2]
     size = len(cols)
-    weight = frame.reshape(size, d)
     blocks = _sectors(cols, vals, frame)
     basis = np.zeros((2 * sites, sites))
     cos_e, members = _block_eigh(*blocks[1], basis[:sites])
     chains = [(first, *factors[1:]) for first in _fold(*factors[0], frame)]  # F1 W_s, F2, ... for each sector s
-    # Groups: X's components joined with the rows of every site whose frame mixes them.
-    rows = np.arange(size)
-    partner = rows - rows % d + (rows + 1) % d
-    mixed = (weight * weight[partner]).any(axis=1)
-    group = _components(np.column_stack([cols, partner]), np.column_stack([vals, mixed]))
-    # (site, sector): the group of the row each node is grouped by, its frame vector's largest component
-    node_group = group[np.arange(sites)[:, None] * d + np.abs(frame).argmax(axis=1)]
-    q_group = node_group[members, 1]
+    energies, ipr, index, weight = np.empty(size), np.empty(size), np.empty((size, 2), dtype=int), np.empty((size, 2))
+
+    def add_pairs(slots, rows, pair_e, p, q, images_q) -> float:
+        """Records and measures (p +/- iq)/sqrt(2) at +/-pair_e in ``slots`` (n, 2), p, q the basis ``rows`` (n, 2)."""
+        pair_ipr, gap = _measure(frame, pair_e, [(0, p, _images(chains[0], p)), (1, q, images_q)])
+        energies[slots], ipr[slots] = pair_e[:, None] * [1, -1], pair_ipr[:, None] / 4  # for p + iq, of norm sqrt(2)
+        index[slots], weight[slots] = rows[:, None], np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
+        return gap.max() * np.sqrt(0.5)
+
     # sigma^2 = q^T C^T C q = 1 - cos^2 E, so the vectors q left unpaired, and the
     # p's to re-orthogonalize, which go last, are known before X is applied.  Pair
     # member 0 is (p + iq)/sqrt(2) at E and member 1 is (p - iq)/sqrt(2) at -E.
@@ -502,68 +495,65 @@ def _eigenpairs(cols: np.ndarray, vals: np.ndarray, frame: np.ndarray, factors):
     unpaired, paired = np.flatnonzero(sine2 <= _PAIR_FLOOR**2), np.flatnonzero(sine2 > _PAIR_FLOOR**2)
     small = sine2[paired] < (10 * _PAIR_FLOOR) ** 2
     keep, first_small = paired[np.argsort(small, kind="stable")], paired.size - np.count_nonzero(small)
-    tops = [*range(0, first_small, 32), *range(first_small, keep.size, 32)]
-    energies, ipr, residual = np.empty(size), np.empty(size), 0.0
-    span = np.arange(2 * keep.size).reshape(-1, 2)
+    tops, residual = [*range(0, first_small, 32), *range(first_small, keep.size, 32)], 0.0
     for top, end in zip(tops, tops[1:] + [keep.size]):
         q = basis[keep[top:end]]
         images_q = _images(chains[1], q)
         p = _partner(images_q[-1], frame)
-        sigma = np.sqrt(np.einsum("kp,kp->k", p, p))[:, None]
-        p /= sigma
+        sigma = np.sqrt(np.einsum("kp,kp->k", p, p))
+        p /= sigma[:, None]
         if top >= first_small:  # off the p's before it, and orthonormal to first order within the chunk
             p -= (p @ basis[sites : sites + top].T) @ basis[sites : sites + top]
             p -= 0.5 * (p @ p.T - np.eye(len(p))) @ p
         basis[sites + top : sites + end] = p
-        pair_e = -np.arctan2(sigma[:, 0], cos_e[keep[top:end]])  # (p + iq)/sqrt(2) has eigenvalue cos E + i sigma
-        pair_ipr, gap = _measure(frame, pair_e, [(0, p, _images(chains[0], p)), (1, q, images_q)])
-        energies[span[top:end]] = pair_e[:, None] * [1, -1]
-        ipr[span[top:end]] = pair_ipr[:, None] / 4  # measured for p + iq, of norm sqrt(2)
-        residual = max(residual, gap.max() * np.sqrt(0.5))
-    index, weight = np.empty((size, 2), dtype=int), np.empty((size, 2))
-    index[span] = np.column_stack([sites + np.arange(keep.size), keep])[:, None]
-    weight[span] = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
-    # The rest, within the pair floor of sin E = 0: the unpaired q's and A0's
-    # complement, one cluster per group and sign of cos E, solved by size, 32
-    # members at a time.
+        pair_e = -np.arctan2(sigma, cos_e[keep[top:end]])  # (p + iq)/sqrt(2) has eigenvalue cos E + i sigma
+        rows = np.column_stack([sites + np.arange(top, end), keep[top:end]])
+        residual = max(residual, add_pairs(np.arange(2 * top, 2 * end).reshape(-1, 2), rows, pair_e, p, q, images_q))
+    # Groups: X's components joined with the rows of every site whose frame mixes them.
+    rows = np.arange(size)
+    partner = rows - rows % d + (rows + 1) % d
+    mixed = (frame.reshape(size, d) * frame.reshape(size, d)[partner]).any(axis=1)
+    group = _components(np.column_stack([cols, partner]), np.column_stack([vals, mixed]))
+    # (site, sector): the group of the row each node is grouped by, its frame vector's largest component
+    node_group = group[np.arange(sites)[:, None] * d + np.abs(frame).argmax(axis=1)]
+    q_group = node_group[members, 1]
+    # The rest, within the pair floor of sin E = 0: A0's complement and the unpaired
+    # q's, one cluster per group and sign of cos E, sector-0 members first.
     rest_e, basis[sites + keep.size :], rest_group = _complement(
         basis[sites : sites + keep.size], q_group[keep], node_group[:, 0], *blocks[0]
     )
-    rest_rows = np.concatenate([unpaired, np.arange(sites + keep.size, 2 * sites)])
-    rest_e = np.concatenate([cos_e[unpaired], rest_e])
-    key = 2 * np.concatenate([q_group[unpaired], rest_group]) + (rest_e < 0)
-    order = np.lexsort((rest_e, key))
+    rest_rows, rest_e = np.append(np.arange(sites + keep.size, 2 * sites), unpaired), np.append(rest_e, cos_e[unpaired])
+    side = (rest_rows < sites).astype(int)
+    key = 2 * np.concatenate([rest_group, q_group[unpaired]]) + (rest_e < 0)
+    order = np.lexsort((rest_e, side, key))
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    counts = np.diff(np.append(starts, order.size))
-    # Each member of a cluster of several gets its two combined rows appended, in
-    # place: resize raises if a view of the basis is still alive.
-    row = len(basis)
-    basis.resize((row + 2 * counts[counts > 1].sum(), sites))
-    for count in np.flatnonzero(np.bincount(counts, minlength=1)):
-        at = order[starts[counts == count][:, None] + np.arange(count)]
-        at = at[np.argsort(rest_rows[at[:, 0]] < sites, kind="stable")]  # lone members in runs of one sector
-        members, span = rest_rows[at], 2 * keep.size + at
-        side = (members < sites).astype(int)
-        step = max(1, 32 // count)  # clusters at a time: at most 32 members, or one larger cluster
-        parts = [slice(first, first + step) for first in range(0, len(at), step)]
-        upper = np.zeros((len(at), count, count))  # G's strict upper triangle, from members 1..m-1 moved by X
-        for part in parts if count > 1 else []:
-            q = _rows(basis[members[part]], frame, side[part])
-            image = _apply(cols, vals, q[:, 1:].reshape(-1, size)).reshape(len(q), count - 1, size)
-            upper[part, :, 1:] = np.triu(q @ image.transpose(0, 2, 1))
-        energies[span], coeffs = _resolve_clusters(upper, rest_e[at], side)
-        if count == 1:  # a lone member is its own row, of weight 1 in its sector
-            index[span[:, 0]], weight[span[:, 0]] = members, np.eye(2)[side[:, 0]]
-        for part in parts:  # a sector no member of the part lies in adds nothing
-            combined = _combine(coeffs[part], side[part], basis[members[part]])
-            measured = [(s, c, _images(chains[s], c)) for s, c in enumerate(combined) if np.any(side[part] == s)]
-            ipr[span[part].ravel()], gap = _measure(frame, energies[span[part]].ravel(), measured)
+    ones = np.add.reduceat(side[order], starts) if starts.size else starts
+    zeros = np.diff(np.append(starts, order.size)) - ones
+    # Each cluster's SVD rotates its members' rows in place.  Every row is a lone
+    # record, of weight 1 in its sector, unless it is linked into a pair.
+    for n0, n1 in sorted(set(zip(zeros.tolist(), ones.tolist()))):
+        at = order[starts[(zeros == n0) & (ones == n1)][:, None] + np.arange(n0 + n1)]
+        rows, slots = rest_rows[at], 2 * keep.size + at
+        coupling, step = np.zeros((len(at), n0, n1)), max(1, 32 // max(n1, 1))  # at most 32 rows moved, or one cluster
+        for top in range(0, len(at) if n0 and n1 else 0, step):
+            part = rows[top : top + step]
+            moved = _partner(_images(chains[1], basis[part[:, n0:]].reshape(-1, sites))[-1], frame)
+            coupling[top : top + step] = basis[part[:, :n0]] @ moved.reshape(len(part), n1, sites).transpose(0, 2, 1)
+        u, s, vh, energies[slots] = _resolve_clusters(coupling, rest_e[at[:, :n0]], rest_e[at[:, n0:]])
+        if n0 and n1:  # else the SVD's one nonempty factor is the identity
+            basis[rows[:, :n0]], basis[rows[:, n0:]] = u.transpose(0, 2, 1) @ basis[rows[:, :n0]], vh @ basis[rows[:, n0:]]
+        index[slots], weight[slots] = rows[:, :, None], np.eye(2)[side[at]]
+        n, link = s.shape[1], s > 0  # sector-0 row j and sector-1 row j of a cluster form a pair
+        links = np.column_stack([table[:, cut][link] for table in (slots, rows) for cut in (slice(n), slice(n0, n0 + n))])
+        for pair in np.split(links, range(32, len(links), 32)) if len(links) else []:  # E is at the sector-0 slot
+            p, q = basis[pair[:, 2]], basis[pair[:, 3]]
+            residual = max(residual, add_pairs(pair[:, :2], pair[:, 2:], energies[pair[:, 0]], p, q, _images(chains[1], q)))
+    for sector in (0, 1):  # the lone rows: weight 1 in their sector, where a pair's are sqrt(1/2)
+        alone = np.flatnonzero(weight[:, sector] == 1)
+        for at in np.split(alone, range(32, alone.size, 32)) if alone.size else []:
+            c = basis[index[at, sector]]
+            ipr[at], gap = _measure(frame, energies[at], [(sector, c, _images(chains[sector], c))])
             residual = max(residual, gap.max())
-            if count > 1:
-                n = len(combined[0])
-                basis[row : row + n], basis[row + n : row + 2 * n] = combined
-                index[span[part].ravel()], weight[span[part].ravel()] = row + np.arange(n)[:, None] + [0, n], 1.0
-                row += 2 * n
     return energies, ipr, residual, basis, (index, weight)
 
 
@@ -725,14 +715,14 @@ def solve_wire_energy(theta1: float, theta2: float, block_length):
     u = ln E over [ln 1e-300, ln E_max), E_max the window edge, to one ulp
     of u; the near-pi partner is pi - E by the spectral mirror symmetry.
     ``theta1`` may be +/- pi/2 (reflecting ends) or any gapped angle of
-    opposite sign to ``theta2``.  An int ``block_length`` gives a float and
-    an array of them an array, NaN where the window holds no root above
-    1e-300; the int form raises ``RuntimeError`` there instead.
+    opposite sign to ``theta2``.  An int ``block_length`` >= 0 gives a float
+    and an array of them an array, NaN where the window holds no root above
+    1e-300 (the int form raises ``RuntimeError``); others raise ``ValueError``.
     """
     verdict = boundstates.single_boundary_existence(theta1, theta2)
     if not verdict.exists:
         raise ValueError(f"no bound states to solve for: {verdict.reason}")
-    lengths = np.asarray(block_length)
+    lengths = boundstates._block_lengths(block_length)
     jump = abs(np.sin(theta1) - np.sin(theta2))
     terms = boundstates._wire_terms(theta1, theta2, lengths)
 
@@ -770,11 +760,12 @@ def fit_splitting_decay(theta2: float, block_lengths) -> SplittingFit:
 
     Solves the reflecting-end block (theta1 = -pi/2) for all N in
     ``block_lengths`` at once and fits ln E = intercept + slope * N; the
-    slope estimates -kappa_2.
+    slope estimates -kappa_2.  Fewer than 4 distinct lengths, or a length
+    that is not an integer >= 0, raise ``ValueError``.
     """
-    lengths = np.array([int(n) for n in block_lengths])
-    if lengths.size < 4:
-        raise ValueError("need at least 4 block lengths for a meaningful fit")
+    lengths = boundstates._block_lengths([*block_lengths])
+    if len(set(lengths.tolist())) < 4:
+        raise ValueError("need at least 4 distinct block lengths for a meaningful fit")
     energies = solve_wire_energy(-np.pi / 2, theta2, lengths)
     if np.isnan(energies).any():
         raise RuntimeError(f"no bound-state root at N = {lengths[np.isnan(energies)].tolist()}")

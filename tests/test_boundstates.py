@@ -112,6 +112,21 @@ class TestSingleBoundaryCondition:
 
 
 class TestBlockConditions:
+    @pytest.mark.parametrize("block_length", [2.5, -5, np.array(3.0)])
+    def test_block_length_must_be_a_non_negative_integer(self, block_length):
+        # neither truncated (2.5 to 2) nor extrapolated (N + 1 < 0)
+        with pytest.raises(ValueError, match="block lengths"):
+            wire_condition_residual(-np.pi / 2, 0.3 * np.pi, 0.01, block_length)
+        with pytest.raises(ValueError, match="block lengths"):
+            antisymmetric_condition_residual(-0.3 * np.pi, 0.35 * np.pi, 0.01, block_length)
+        with pytest.raises(ValueError, match="block lengths"):
+            antisymmetric_mode(-0.3 * np.pi, 0.35 * np.pi, 0.0, block_length, 64)
+
+    def test_integer_block_lengths_of_any_type_agree(self):
+        for residual, theta1 in ((wire_condition_residual, -np.pi / 2), (antisymmetric_condition_residual, -0.3 * np.pi)):
+            values = {residual(theta1, 0.3 * np.pi, 0.01, n) for n in (5, np.int64(5), np.uint16(5), np.array(5))}
+            assert len(values) == 1
+
     def test_symmetric_has_no_zero_energy_root(self):
         res = wire_condition_residual(2 * np.pi / 5, -2 * np.pi / 5, 0.0, 5)
         assert abs(res) > 1e-6

@@ -1,5 +1,7 @@
+import cProfile
 import dataclasses
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -140,9 +142,9 @@ class TestDiagonalize:
         assert np.min(np.abs(diagonalize(profile).quasi_energies)) > 1e-3
         resolve = spectral._resolve_clusters
 
-        def uncoupled_resolve(upper, cos_e, sector):
-            upper[...] = 0.0
-            return resolve(upper, cos_e, sector)
+        def uncoupled_resolve(coupling, cos_0, cos_1):
+            coupling[...] = 0.0
+            return resolve(coupling, cos_0, cos_1)
 
         monkeypatch.setattr(spectral, "_resolve_clusters", uncoupled_resolve)
         with pytest.raises(RuntimeError, match="eigen-residual"):
@@ -382,7 +384,7 @@ def test_even_ring_solves_two_step_operator(profile, monkeypatch):
     # an even ring's U joins only sites of opposite parity, so U^2 splits over
     # the sublattices and only the L x L even-site block M = U_eo U_oe is
     # diagonalized, split again into the two sectors of the chiral frame:
-    # no eigh sees more than L/2 rows, and no SVD runs
+    # no eigh or SVD sees more than L/2 rows
     mat = build_unitary(profile)
     even = np.arange(len(mat)) // 2 % 2 == 0
     two = mat[even][:, ~even] @ mat[~even][:, even]
@@ -390,15 +392,18 @@ def test_even_ring_solves_two_step_operator(profile, monkeypatch):
     reference = np.linalg.eigvalsh(sym)
     eigh = np.linalg.eigh
 
+    svd = np.linalg.svd
+
     def half_size_eigh(stack):
         assert stack.shape[-1] <= profile.length // 2
         return eigh(stack)
 
-    def no_svd(stack):
-        raise AssertionError("SVD on an even ring")
+    def half_size_svd(stack):
+        assert max(stack.shape[-2:]) <= profile.length // 2
+        return svd(stack)
 
     monkeypatch.setattr(np.linalg, "eigh", half_size_eigh)
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", half_size_svd)
     diagonalize(profile)
     values, rows = block_eigh(profile, two_step=True)
     assert np.max(np.abs(np.sort(values) - reference)) <= 1e-13
@@ -412,18 +417,19 @@ def test_even_ring_solves_two_step_operator(profile, monkeypatch):
 )
 def test_odd_ring_takes_eigh(profile, monkeypatch):
     # the seam of an odd ring joins two even sites, so U itself is solved,
-    # split into the two sectors of the chiral frame: no eigh sees more than L rows
-    eigh = np.linalg.eigh
+    # split into the two sectors of the chiral frame: no eigh or SVD sees more than L rows
+    eigh, svd = np.linalg.eigh, np.linalg.svd
 
     def sector_eigh(stack):
         assert stack.shape[-1] <= profile.length
         return eigh(stack)
 
-    def no_svd(stack):
-        raise AssertionError("SVD on an odd ring")
+    def sector_svd(stack):
+        assert max(stack.shape[-2:]) <= profile.length
+        return svd(stack)
 
     monkeypatch.setattr(np.linalg, "eigh", sector_eigh)
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", sector_svd)
     diagonalize(profile)
     values, _ = block_eigh(profile)
     mat = build_unitary(profile)
@@ -534,6 +540,35 @@ def test_unresolved_pair_keeps_boundary_modes_apart():
 
 
 @pytest.mark.parametrize(
+    "profile",
+    [
+        build_profile("antisymmetric", 256, -0.3 * np.pi, 0.35 * np.pi, wire_length=8),
+        build_profile("symmetric", 65, 0.501 * np.pi, -0.475 * np.pi, wire_length=5),
+        build_profile("wire", 64, -0.5 * np.pi, 0.3 * np.pi, wire_length=6),
+        build_profile("single", 33, -0.5 * np.pi, 0.3 * np.pi),
+        build_profile("uniform", 64, 0.0),
+    ],
+    ids=["antisymmetric", "symmetric", "wire", "single", "uniform"],
+)
+def test_diagonalize_under_trace_and_profile_hooks(profile):
+    # a trace or profile hook holds references to the solver's frames and
+    # arrays, so a solve that needs its arrays unreferenced (ndarray.resize)
+    # fails under coverage, pdb and profilers: the hooked solves return what
+    # the plain one does, bit for bit
+    plain = diagonalize(profile)
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        traced = diagonalize(profile)
+    finally:
+        sys.settrace(previous)
+    profiled = cProfile.Profile().runcall(diagonalize, profile)
+    for hooked in (traced, profiled):
+        assert np.array_equal(hooked.quasi_energies, plain.quasi_energies)
+        assert np.array_equal(hooked.ipr, plain.ipr)
+
+
+@pytest.mark.parametrize(
     "kind, length",
     [pytest.param(kind, length, id=kind if length == 512 else f"{kind}-{length}")
      for length in (512, 511) for kind in ("symmetric", "antisymmetric", "wire", "single")],
@@ -561,9 +596,9 @@ def test_near_flat_band_stays_out_of_clusters(theta1, monkeypatch):
     widths = []
     resolve = spectral._resolve_clusters
 
-    def recording_resolve(upper, cos_e, sector):
-        widths.append(cos_e.shape[1])
-        return resolve(upper, cos_e, sector)
+    def recording_resolve(coupling, cos_0, cos_1):
+        widths.append(cos_0.shape[1] + cos_1.shape[1])
+        return resolve(coupling, cos_0, cos_1)
 
     monkeypatch.setattr(spectral, "_resolve_clusters", recording_resolve)
     result = diagonalize(profile)
@@ -588,15 +623,16 @@ def test_clusters_hold_one_sign_of_cos_e(profile, monkeypatch):
     # a level is left to the clusters only with sin^2 E at most the pair floor
     # squared, so each cluster (one per group and sign of cos E) has
     # |cos E| >= sqrt(1 - floor^2); that bound stays above 1/sqrt(2), where
-    # mu = sin E parts a cluster's eigenvalues by at least 1/sqrt(2) of their distance
+    # the singular values s = |sin E| of a cluster's coupling part its eigenvalues
+    # by at least 1/sqrt(2) of their distance
     bound = np.sqrt(1 - spectral._PAIR_FLOOR**2)
     assert bound > np.sqrt(0.5)
     clusters = []
     resolve = spectral._resolve_clusters
 
-    def recording_resolve(upper, cos_e, sector):
-        clusters.extend(cos_e)
-        return resolve(upper, cos_e, sector)
+    def recording_resolve(coupling, cos_0, cos_1):
+        clusters.extend(np.concatenate([cos_0, cos_1], axis=1))
+        return resolve(coupling, cos_0, cos_1)
 
     monkeypatch.setattr(spectral, "_resolve_clusters", recording_resolve)
     diagonalize(profile)
@@ -607,7 +643,7 @@ def test_clusters_hold_one_sign_of_cos_e(profile, monkeypatch):
 
 def test_one_sector_eigh_on_even_ring(monkeypatch):
     # only sector 1 of M = U_eo U_oe is diagonalized: one L/2-row eigh, and
-    # every other eigh (the complement's Ritz step, the clusters) is small
+    # every other eigh (the complement's Ritz step) is small
     shapes = []
     eigh = np.linalg.eigh
 
@@ -874,6 +910,17 @@ class TestSolveWireEnergy:
         with pytest.raises(RuntimeError):
             solve_wire_energy(-np.pi / 2, np.pi / 3, 600)
 
+    @pytest.mark.parametrize("block_length", [2.5, -1, True, np.array([2.0, 3.0]), np.array([3, -2])])
+    def test_block_length_must_be_a_non_negative_integer(self, block_length):
+        # a fractional length is not truncated, and a negative one is a usage
+        # error, not a missing root
+        with pytest.raises(ValueError, match="block lengths"):
+            solve_wire_energy(-np.pi / 2, 0.3 * np.pi, block_length)
+
+    def test_integer_types_agree(self):
+        energies = solve_wire_energy(-np.pi / 2, 0.3 * np.pi, np.arange(2, 6, dtype=np.int32))
+        assert [solve_wire_energy(-np.pi / 2, 0.3 * np.pi, n) for n in (2, np.int64(3), np.uint8(4), 5)] == energies.tolist()
+
 
 class TestReferenceTableViaOracle:
     def test_reflecting_ring_matches_root_solver(self):
@@ -912,6 +959,15 @@ class TestFitSplittingDecay:
     def test_requires_four_points(self):
         with pytest.raises(ValueError):
             fit_splitting_decay(np.pi / 4, [5, 6, 7])
+
+    def test_requires_four_distinct_integer_lengths(self):
+        # one length repeated fits no slope; a fractional length is not truncated
+        with pytest.raises(ValueError, match="distinct"):
+            fit_splitting_decay(0.3 * np.pi, [3, 3, 3, 3])
+        with pytest.raises(ValueError, match="distinct"):
+            fit_splitting_decay(0.3 * np.pi, [3, 4, 5, 5])
+        with pytest.raises(ValueError, match="block lengths"):
+            fit_splitting_decay(0.3 * np.pi, [3, 4, 5, 6.5])
 
 
 class TestOracleCompare:
