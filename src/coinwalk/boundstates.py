@@ -44,6 +44,7 @@ from .lattice import (
     WalkerState,
     _check_angle,
     _coin_entries,
+    _integers,
     build_profile,
     ring_coordinates,
 )
@@ -86,9 +87,14 @@ def circle_distance(energy, target: float):
     return np.abs(np.mod(np.asarray(energy) - target + np.pi, 2 * np.pi) - np.pi)
 
 
+def _families(energy: float) -> np.ndarray:
+    """Which of 0 and pi (as 0, 1) ``energy`` lies within 1e-12 of on the 2-pi circle: -pi is pi and 2 pi is 0."""
+    return np.flatnonzero(circle_distance(energy, np.array([0.0, np.pi])) <= 1e-12)
+
+
 def _energy_family(energy: float) -> float:
-    """0 or pi, whichever ``energy`` lies within 1e-12 of on the 2-pi circle: -pi is pi and 2 pi is 0."""
-    near = np.flatnonzero(circle_distance(energy, np.array([0.0, np.pi])) <= 1e-12)
+    """0 or pi, whichever ``energy`` is in by ``_families``; any other energy raises ``ValueError``."""
+    near = _families(energy)
     if near.size == 0:
         raise ValueError("closed-form boundary modes exist only at quasi-energy 0 or pi")
     return float(np.pi * near[0])
@@ -180,21 +186,13 @@ def _wire_window(theta1: float, theta2: float) -> float:
     return min(abs(theta1), np.pi - abs(theta1), abs(theta2), np.pi - abs(theta2))
 
 
-def _block_lengths(block_length) -> np.ndarray:
-    """``block_length`` as an integer array, 0-d for a scalar; ``ValueError`` unless every entry is an integer >= 0."""
-    lengths = np.asarray(block_length)
-    if lengths.dtype.kind not in "iu" or np.any(lengths < 0):
-        raise ValueError(f"block lengths must be integers >= 0, not {block_length!r}")
-    return lengths
-
-
 def _wire_terms(theta1: float, theta2: float, block_length):
     """E -> (sin E, A, B, x = k2 (N+1)) of the equal-exterior condition, elementwise; E-free work done once.
 
     B comes from (|cos t_i| sinh k_i)^2 = s_i^2 - sin^2 E = (|s_i| - sin E)(|s_i| + sin E).
     """
     s1, s2, (gap_of, kappa_of) = np.sin(theta1), np.sin(theta2), _decay(theta2)
-    abs1, product, span = abs(s1), s1 * s2, _block_lengths(block_length) + 1
+    abs1, product, span = abs(s1), s1 * s2, _integers(block_length, "block lengths", 0) + 1
 
     def terms(energy):
         sin_e = np.sin(energy)
@@ -230,10 +228,10 @@ def antisymmetric_condition_residual(
     _check_angle(theta1)
     _check_angle(theta2)
     # float(pi) stands for exact pi here, where the factor vanishes identically
-    sin_e = 0.0 if circle_distance(energy, np.array([0.0, np.pi])).min() <= 1e-12 else np.sin(energy)
+    sin_e = 0.0 if _families(energy).size else np.sin(energy)
     (gap1, kappa1), (gap2, kappa2) = _decay(theta1), _decay(theta2)
     k1, k2 = kappa1(gap1(sin_e)), kappa2(gap2(sin_e))
-    span = k2 * (_block_lengths(block_length) + 1)
+    span = k2 * (_integers(block_length, "block lengths", 0) + 1)
     bracket = np.cos(theta1) * np.sinh(k1) * np.tanh(span) + np.cos(theta2) * np.sinh(k2)
     return float(sin_e * bracket)
 
@@ -352,7 +350,7 @@ def antisymmetric_mode(
     """
     energy = _energy_family(energy)
     _require_boundary_modes(theta1, theta2)
-    n_block = int(_block_lengths(block_length))
+    n_block = int(_integers(block_length, "block lengths", 0))
     profile = build_profile("antisymmetric", length, theta1, theta2, wire_length=n_block, offset=offset)
     z1, kappa1, xi1 = _tail(theta1, energy, decaying=False)
     z2, kappa2, xi2 = _tail(theta2, energy, decaying=True)

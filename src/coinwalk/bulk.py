@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _check_angle, _chiral_frame
+from .lattice import _check_angle, _chiral_frame, _integers
 
 GAP_TOL = 1e-9
 
@@ -158,14 +158,14 @@ def winding_number(theta: float, grid_points: int = 1024) -> WindingResult:
     Accumulates principal-value phase increments of h on a uniform k-grid,
     refining the grid if any single increment exceeds pi/2.  The rounded
     integral equals sgn(sin theta); at sin(theta) = 0 the gap closes and the
-    invariant is undefined.
+    invariant is undefined.  ``grid_points`` is an integer >= 64 by ``lattice._integers``.
     """
     _check_angle(theta)
-    if grid_points < 64:
+    pts = _integers(grid_points, "grid points")
+    if pts < 64:
         raise ValueError("grid_points must be at least 64")
     if abs(np.sin(theta)) < GAP_TOL:
         raise GapClosedError("winding undefined: band gap closes at sin(theta) = 0")
-    pts = int(grid_points)
     while True:
         k = np.linspace(-np.pi, np.pi, pts + 1)
         h = offdiagonal_h(theta, k)

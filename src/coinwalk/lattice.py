@@ -50,6 +50,14 @@ def _in_angle_range(angles) -> np.ndarray:
     return np.abs(angles) <= np.pi + 1e-12
 
 
+def _integers(value, name: str, minimum: int | None = None):
+    """``value`` as int64, not truncated: a bool, a float (3.0 too) or an entry below ``minimum`` raises ``ValueError``."""
+    values = np.asarray(value)
+    if values.dtype.kind not in "iu" or (minimum is not None and np.any(values < minimum)):
+        raise ValueError(f"{name} must be integers{'' if minimum is None else f' >= {minimum}'}, not {value!r}")
+    return values.astype(np.int64)[()]
+
+
 def _check_angle(theta: float) -> float:
     theta = float(theta)
     if not _in_angle_range(theta):
@@ -84,10 +92,10 @@ class CoinProfile:
 def ring_coordinates(length: int, offset: int | None, centered: bool) -> np.ndarray:
     """Layout coordinate n of every ring site; site (offset + n) % L has coordinate n.
 
-    ``offset=None`` places n = 0 at site L // 4, the one default placement of
-    every layout.  ``centered`` selects n in [-L//2, L - L//2); otherwise n in [0, L).
+    ``offset`` is an integer by ``_integers``; None places n = 0 at site L // 4, the one default
+    placement of every layout.  ``centered`` selects n in [-L//2, L - L//2); otherwise n in [0, L).
     """
-    offset = length // 4 if offset is None else int(offset) % length
+    offset = length // 4 if offset is None else _integers(offset, "offsets") % length
     sites = np.arange(length)
     if centered:
         return ((sites - offset + length // 2) % length) - length // 2
@@ -118,10 +126,12 @@ def build_profile(
                          stored as 0 by ``_coin_entries``: a hard-walled wire.
     offset:
         Ring index of coordinate n = 0; None leaves it to ``ring_coordinates``.
+
+    ``length``, ``wire_length`` >= 0 and ``offset`` are integers by ``_integers``; 2.5 raises.
     """
     if kind not in PROFILE_KINDS:
         raise ValueError(f"unknown profile kind {kind!r}; expected one of {PROFILE_KINDS}")
-    length = int(length)
+    length = _integers(length, "ring lengths")
     if length < 2:
         raise ValueError("ring needs at least 2 sites")
     theta1 = _check_angle(theta1)
@@ -139,9 +149,7 @@ def build_profile(
 
     if wire_length is None:
         raise ValueError(f"profile kind {kind!r} needs wire_length")
-    n_block = int(wire_length)
-    if n_block < 0:
-        raise ValueError("wire_length must be non-negative")
+    n_block = _integers(wire_length, "block lengths", 0)
     if n_block + 1 >= length:
         raise ValueError("block of wire_length+1 sites leaves no exterior on the ring")
 
@@ -191,11 +199,12 @@ class WalkerState:
 
 
 def delta_state(length: int, site: int, component: str = "left") -> WalkerState:
-    """State fully localized at one site, in the left or right internal component."""
+    """State at integer ``site`` mod integer ``length`` (``_integers``), in the left or right component."""
     if component not in ("left", "right"):
         raise ValueError("component must be 'left' or 'right'")
-    amp = np.zeros(2 * int(length), dtype=complex)
-    amp[2 * (int(site) % int(length)) + (component == "right")] = 1.0
+    length = _integers(length, "ring lengths")
+    amp = np.zeros(2 * length, dtype=complex)
+    amp[2 * (_integers(site, "sites") % length) + (component == "right")] = 1.0
     return WalkerState(amp)
 
 

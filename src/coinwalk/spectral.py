@@ -77,10 +77,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boundstates
-from .lattice import CoinProfile, _chiral_frame, _coin_entries, step
+from .lattice import CoinProfile, _chiral_frame, _coin_entries, _integers, step
 from .boundstates import BoundStateSolution, circle_distance
 
-SIZE_CAP = 512
+# Worst case measured at the cap (2 CPUs, numpy 2.4.6): near-reflecting coins, |cos theta| <~ 1e-3
+# on most sites, whose narrow band is one cluster of ~L members: 1.4-1.8 s and 150 MB at L = 2048,
+# 1.4 s and 200 MB on the odd L = 2047.  Other layouts take 0.3-0.4 s (1.3-1.5 s odd) and 76 MB.
+SIZE_CAP = 2048
 
 # A sector-1 eigenvector q gives its sector-0 partner p = P0 X q / sigma,
 # sigma = |sin E|, only above this floor: the pair's residual grows like
@@ -365,14 +368,6 @@ def _measure(frame: np.ndarray, energies: np.ndarray, parts: list):
     moved[0] -= _rows(sin_e * parts[1][1], frame, 1)
     moved[1] += _rows(sin_e * parts[0][1], frame, 0)
     return ipr, np.sqrt(np.einsum("ki,ki->k", moved[0], moved[0]) + np.einsum("ki,ki->k", moved[1], moved[1]))
-
-
-def _combine(coeffs: np.ndarray, sector: np.ndarray, rows: np.ndarray) -> list:
-    """Real and imaginary parts of sum_j coeffs[k, j, i] rows[k, j] i^sector[k, j], each as (k * i, n) rows."""
-    return [
-        (np.where(sector[:, :, None] == part, coeffs, 0.0).transpose(0, 2, 1) @ rows).reshape(-1, rows.shape[2])
-        for part in (0, 1)
-    ]
 
 
 def _complement(coef: np.ndarray, owner: np.ndarray, group: np.ndarray, cols: np.ndarray, vals: np.ndarray):
@@ -722,7 +717,7 @@ def solve_wire_energy(theta1: float, theta2: float, block_length):
     verdict = boundstates.single_boundary_existence(theta1, theta2)
     if not verdict.exists:
         raise ValueError(f"no bound states to solve for: {verdict.reason}")
-    lengths = boundstates._block_lengths(block_length)
+    lengths = _integers(block_length, "block lengths", 0)
     jump = abs(np.sin(theta1) - np.sin(theta2))
     terms = boundstates._wire_terms(theta1, theta2, lengths)
 
@@ -763,7 +758,7 @@ def fit_splitting_decay(theta2: float, block_lengths) -> SplittingFit:
     slope estimates -kappa_2.  Fewer than 4 distinct lengths, or a length
     that is not an integer >= 0, raise ``ValueError``.
     """
-    lengths = boundstates._block_lengths([*block_lengths])
+    lengths = _integers([*block_lengths], "block lengths", 0)
     if len(set(lengths.tolist())) < 4:
         raise ValueError("need at least 4 distinct block lengths for a meaningful fit")
     energies = solve_wire_energy(-np.pi / 2, theta2, lengths)

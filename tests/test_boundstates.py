@@ -429,6 +429,46 @@ def test_modes_take_energy_on_the_circle(build, energy, family):
     assert mode_residual(mode) < 1e-10
 
 
+# each closed-form mode with one count left open, and the quantity its error names
+MODE_COUNTS = {
+    "single-length": ("ring lengths", lambda n: single_boundary_mode(-0.3 * np.pi, 0.35 * np.pi, 0.0, n)),
+    "single-offset": ("offsets", lambda n: single_boundary_mode(-0.3 * np.pi, 0.35 * np.pi, 0.0, 64, offset=n)),
+    "antisymmetric-block": ("block lengths", lambda n: antisymmetric_mode(-0.3 * np.pi, 0.35 * np.pi, 0.0, n, 64)),
+    "antisymmetric-length": ("ring lengths", lambda n: antisymmetric_mode(-0.3 * np.pi, 0.35 * np.pi, 0.0, 8, n)),
+    "antisymmetric-offset": (
+        "offsets", lambda n: antisymmetric_mode(-0.3 * np.pi, 0.35 * np.pi, 0.0, 8, 64, offset=n)
+    ),
+}
+
+
+class TestModeCountsAreIntegers:
+    """A mode's ring length, block length and offset pass ``lattice``'s one integer rule."""
+
+    @pytest.mark.parametrize("bad", [2.5, 64.5, np.float64(3.0), True], ids=repr)
+    @pytest.mark.parametrize("call", MODE_COUNTS)
+    def test_non_integer_count_raises(self, call, bad):
+        quantity, build = MODE_COUNTS[call]
+        with pytest.raises(ValueError, match=f"{quantity} must be integers"):
+            build(bad)
+
+    @pytest.mark.parametrize("energy", [0.0, np.pi], ids=["0", "pi"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+    def test_numpy_integers_match_python_ints(self, dtype, energy):
+        t1, t2 = -0.3 * np.pi, 0.65 * np.pi
+        pairs = [
+            (single_boundary_mode(t1, t2, energy, dtype(64), offset=dtype(5)),
+             single_boundary_mode(t1, t2, energy, 64, offset=5)),
+            (antisymmetric_mode(t1, t2, energy, dtype(8), dtype(64), offset=dtype(5)),
+             antisymmetric_mode(t1, t2, energy, 8, 64, offset=5)),
+        ]
+        for typed, plain in pairs:
+            assert np.array_equal(typed.wavefunction.amplitudes, plain.wavefunction.amplitudes)
+            assert np.array_equal(typed.profile.angles, plain.profile.angles)
+            assert (typed.seam, typed.coefficients, typed.kappa1, typed.kappa2) == (
+                plain.seam, plain.coefficients, plain.kappa1, plain.kappa2
+            )
+
+
 class TestMajoranaModesAreReal:
     """The E = 0, pi modes are self-conjugate, and are materialized as real vectors."""
 

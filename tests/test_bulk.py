@@ -252,6 +252,18 @@ class TestWinding:
         with pytest.raises(ValueError):
             winding_number(0.5, grid_points=32)
 
+    @pytest.mark.parametrize("bad", [100.5, np.float64(3.0), np.float64(100.0), True], ids=repr)
+    def test_grid_points_must_be_integers(self, bad):
+        # never truncated: 100.5 does not run on 100 points
+        with pytest.raises(ValueError, match="grid points must be integers"):
+            winding_number(0.3, grid_points=bad)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+    def test_numpy_integer_grid_points_match_python_ints(self, dtype):
+        for theta in (0.002 * np.pi, 0.3, -0.7 * np.pi):
+            typed, plain = winding_number(theta, grid_points=dtype(65)), winding_number(theta, grid_points=65)
+            assert (typed.m, typed.integral_value) == (plain.m, plain.integral_value)
+
     def test_near_closing_refines(self):
         result = winding_number(0.002 * np.pi, grid_points=64)
         assert result.m == 1

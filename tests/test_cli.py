@@ -374,10 +374,22 @@ class TestDiagonalizeCommand:
     def test_size_cap_usage_error(self, capsys):
         assert (
             main(
-                ["diagonalize", "--kind", "uniform", "--theta1", "0.25", "--n-sites", "600"]
+                ["diagonalize", "--kind", "uniform", "--theta1", "0.25", "--n-sites", str(spectral.SIZE_CAP + 1)]
             )
             == 2
         )
+
+    def test_ring_at_the_size_cap(self, capsys):
+        code, payload = run_json(
+            capsys,
+            [
+                "diagonalize", "--kind", "antisymmetric", "--theta1", "-0.3", "--theta2", "0.35",
+                "--wire-length", "8", "--n-sites", str(spectral.SIZE_CAP),
+            ],
+        )
+        assert code == 0
+        assert len(payload["data"]) == 2 * spectral.SIZE_CAP
+        assert payload["extras"]["localized_near_zero"] == payload["extras"]["localized_near_pi"] == 2
 
 
 class TestOutputContracts:

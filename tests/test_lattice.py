@@ -13,6 +13,7 @@ from coinwalk import (
     ring_coordinates,
     step,
 )
+from coinwalk.lattice import PROFILE_KINDS
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -309,6 +310,48 @@ class TestBuildProfile:
     def test_angle_range_edges_accepted(self, theta):
         assert build_profile("uniform", 8, theta).angles[0] == theta
         assert CoinProfile(np.array([0.1, theta])).angles[1] == theta
+
+
+# each lattice call with one count left open, and the quantity its error names
+INTEGER_CALLS = {
+    "build_profile-length": ("ring lengths", lambda n: build_profile("uniform", n, 0.3)),
+    "build_profile-wire_length": (
+        "block lengths", lambda n: build_profile("symmetric", 32, -0.3 * np.pi, 0.35 * np.pi, wire_length=n)
+    ),
+    "build_profile-offset": ("offsets", lambda n: build_profile("single", 32, -0.3 * np.pi, 0.35 * np.pi, offset=n)),
+    "ring_coordinates-offset": ("offsets", lambda n: ring_coordinates(32, n, centered=True)),
+    "delta_state-length": ("ring lengths", lambda n: delta_state(n, 2)),
+    "delta_state-site": ("sites", lambda n: delta_state(8, n)),
+}
+
+
+class TestIntegerRule:
+    """Every count passes one rule: a float or a bool raises, naming the quantity, and is never truncated."""
+
+    @pytest.mark.parametrize("bad", [2.5, 2.7, 32.9, np.float64(3.0), True], ids=repr)
+    @pytest.mark.parametrize("call", INTEGER_CALLS)
+    def test_non_integer_count_raises(self, call, bad):
+        quantity, build = INTEGER_CALLS[call]
+        with pytest.raises(ValueError, match=f"{quantity} must be integers"):
+            build(bad)
+
+    def test_negative_block_length_raises(self):
+        with pytest.raises(ValueError, match="block lengths must be integers >= 0"):
+            INTEGER_CALLS["build_profile-wire_length"][1](-1)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+    def test_numpy_integers_match_python_ints(self, dtype):
+        for kind in PROFILE_KINDS:
+            theta1 = -np.pi / 2 if kind == "wire" else -0.3 * np.pi
+            typed = build_profile(kind, dtype(64), theta1, 0.35 * np.pi, wire_length=dtype(6), offset=dtype(5))
+            plain = build_profile(kind, 64, theta1, 0.35 * np.pi, wire_length=6, offset=5)
+            assert typed.angles.dtype == plain.angles.dtype
+            assert np.array_equal(typed.angles, plain.angles)
+        for centered in (False, True):
+            typed, plain = ring_coordinates(64, dtype(5), centered), ring_coordinates(64, 5, centered)
+            assert typed.dtype == plain.dtype and np.array_equal(typed, plain)
+        typed, plain = delta_state(dtype(8), dtype(11), "right"), delta_state(8, 11, "right")
+        assert np.array_equal(typed.amplitudes, plain.amplitudes)
 
 
 class TestReflectingBlocks:

@@ -131,7 +131,7 @@ class TestDiagonalize:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            diagonalize(build_profile("uniform", 600, 0.3))
+            diagonalize(build_profile("uniform", spectral.SIZE_CAP + 1, 0.3))
 
     def test_misplaced_cluster_split_raises(self, monkeypatch):
         # the block's E = +/-0.0012 pairs (|sin 2E| below the pair floor) are
@@ -745,6 +745,35 @@ def test_planted_spectrum_across_cluster_threshold():
     gaps = np.linalg.norm(mat @ vectors - vectors * np.exp(-1j * energies), axis=0)
     assert np.max(gaps) <= 1e-10
     assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(size))) <= 1e-12
+
+
+class TestAtTheSizeCap:
+    """Rings of ``SIZE_CAP`` sites, and the odd ring below it, against the closed forms."""
+
+    @pytest.mark.parametrize(
+        "build,length,theta2",
+        [
+            ("single", spectral.SIZE_CAP, 0.35),
+            ("single", spectral.SIZE_CAP, 0.65),
+            ("antisymmetric", spectral.SIZE_CAP, 0.35),
+            ("antisymmetric", spectral.SIZE_CAP, 0.65),
+            ("antisymmetric", spectral.SIZE_CAP - 1, 0.65),
+        ],
+        ids=["single-acute", "single-obtuse", "antisymmetric-acute", "antisymmetric-obtuse", "antisymmetric-odd"],
+    )
+    def test_closed_form_modes_match_the_oracle(self, build, length, theta2):
+        # one column per bound state is built; the full vectors would hold a (2L x 2L) complex array
+        def mode(energy):
+            if build == "single":
+                return single_boundary_mode(-0.3 * np.pi, theta2 * np.pi, energy, length)
+            return antisymmetric_mode(-0.3 * np.pi, theta2 * np.pi, energy, 8, length)
+
+        profile = mode(0.0).profile
+        result = diagonalize(profile)
+        assert result.count == 2 * length
+        for energy in (0.0, np.pi):
+            assert find_bound_states(result, energy).count == 2
+            assert oracle_compare(mode(energy), profile, result=result) > 1 - 1e-10
 
 
 class TestFindBoundStates:
