@@ -110,9 +110,8 @@ def _json_column(values) -> list:
     """
     if isinstance(values, np.ndarray):
         if values.dtype.kind in "iu":  # format each distinct value once
-            cells = values.tolist()
-            texts = {cell: int.__repr__(cell) for cell in set(cells)}
-            return [texts[cell] for cell in cells]
+            distinct, inverse = np.unique(values, return_inverse=True)
+            return np.array(list(map(int.__repr__, distinct.tolist())), dtype=object)[inverse].tolist()
         if values.dtype.kind == "f" and np.isfinite(values).all():  # exact zeros skip float.__repr__
             texts = ["0.0"] * values.size
             for index in np.flatnonzero((values == 0) & np.signbit(values)).tolist():

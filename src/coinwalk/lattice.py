@@ -199,10 +199,10 @@ class WalkerState:
 
 
 def delta_state(length: int, site: int, component: str = "left") -> WalkerState:
-    """State at integer ``site`` mod integer ``length`` (``_integers``), in the left or right component."""
+    """State at integer ``site`` mod integer ``length`` >= 1 (``_integers``), in the left or right component."""
     if component not in ("left", "right"):
         raise ValueError("component must be 'left' or 'right'")
-    length = _integers(length, "ring lengths")
+    length = _integers(length, "ring lengths", 1)
     amp = np.zeros(2 * length, dtype=complex)
     amp[2 * (_integers(site, "sites") % length) + (component == "right")] = 1.0
     return WalkerState(amp)
@@ -324,17 +324,17 @@ def evolve(state: WalkerState, profile: CoinProfile, t: int) -> WalkerState:
     sites = np.concatenate([spin] * reps).reshape(half, 2, 2)  # (j, q, a/b)
     coin = _coin_entries(profile.angles)
     coin = np.concatenate([coin] * reps + [coin[:, :1]], axis=1)  # cover sites 0 .. size
-    # (a/b, class, j); cos_part holds (c a, c b), sin_part (s b, s a), coins[p] (c, s) at p
-    psi, cos_part, sin_part, *coins = _aligned_buffers(3 + min(t, 2), (2, hi - lo, half), spin.dtype)
+    # (a/b, class, j); at parity p, coins[2p] holds (c, c) and coins[2p + 1] (s, s), so cos_part = (c a, c b)
+    # and sin_part = (s a, s b): every full-size operand of a step is one flat, contiguous, aligned run
+    psi, cos_part, sin_part, *coins = _aligned_buffers(3 + 2 * min(t, 2), (2, hi - lo, half), spin.dtype)
     psi[...] = sites[:, lo:hi].transpose(2, 1, 0)
-    (a, b), (ca, cb), (sb, sa) = psi, cos_part, sin_part
+    (a, b), (ca, cb), (sa, sb) = psi, cos_part, sin_part
     # flat shifts run across the class boundary; the wrap call after each rewrites those entries
     flat_a, flat_b, flat_ca, flat_cb, flat_sb, flat_sa = (x.reshape(-1) for x in (a, b, ca, cb, sb, sa))
     steps = []
-    for p, cs in enumerate(coins):
-        cs[...] = coin[:, p : p + size].reshape(2, half, 2)[:, :, lo:hi].transpose(0, 2, 1)
-        c, s = cs
-        steps += [(np.multiply, c, psi, cos_part), (np.multiply, s, psi[::-1], sin_part)]
+    for p, (cc, ss) in enumerate(zip(coins[0::2], coins[1::2])):
+        cc[...], ss[...] = coin[:, p : p + size].reshape(2, half, 2)[:, :, lo:hi].transpose(0, 2, 1)
+        steps += [(np.multiply, cc, psi, cos_part), (np.multiply, ss, psi, sin_part)]
         if p == 0:  # a'[j] = (c a + s b)[j + 1],  b'[j] = (c b - s a)[j]
             steps += [
                 (np.add, flat_ca[1:], flat_sb[1:], flat_a[:-1]),

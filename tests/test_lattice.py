@@ -229,6 +229,21 @@ class TestKernelParity:
             assert np.signbit(spin[1::2].view(float)).all()
         self.check(WalkerState(spin.ravel()), prof, t)
 
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("length", [4096, 4095])  # the benchmark's ring, and an odd ring's double cover
+    @pytest.mark.parametrize("start", ["one-class-delta", "two-class-real", "complex"])
+    def test_large_rings_bitwise(self, length, start, t):
+        rng = np.random.default_rng(length + t)
+        prof = random_profile(rng, length)
+        if start == "one-class-delta":
+            state = delta_state(length, 17, "right")
+        else:
+            values = rng.normal(size=2 * length)
+            if start == "complex":
+                values = values + 1j * rng.normal(size=2 * length)
+            state = WalkerState(values / np.linalg.norm(values))
+        self.check(state, prof, t)
+
     @staticmethod
     def check(state, prof, t):
         before = state.amplitudes.copy()
@@ -334,6 +349,16 @@ class TestIntegerRule:
         quantity, build = INTEGER_CALLS[call]
         with pytest.raises(ValueError, match=f"{quantity} must be integers"):
             build(bad)
+
+    @pytest.mark.parametrize("bad", [0, -3, True, 2.5], ids=repr)
+    def test_bad_ring_length_raises(self, bad):
+        with pytest.raises(ValueError, match="ring lengths must be integers >= 1"):
+            delta_state(bad, 0)
+
+    def test_one_site_delta_state(self):
+        state = delta_state(1, 5, "right")
+        assert np.array_equal(state.amplitudes, [0, 1])
+        assert np.array_equal(delta_state(np.int32(1), 0).amplitudes, [1, 0])
 
     def test_negative_block_length_raises(self):
         with pytest.raises(ValueError, match="block lengths must be integers >= 0"):
