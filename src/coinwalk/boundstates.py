@@ -130,26 +130,22 @@ def decay_constant(theta: float, energy: float) -> float:
 
     Solves |cos E| = |cos theta| cosh(kappa), sin E = 0, by ``_decay``:
     kappa = arcsinh(|tan theta|).  A coin whose cos ``lattice._coin_entries``
-    stores as 0 raises ``ValueError`` as a hard wall.
+    stores as 0 raises ``ValueError`` as a hard wall, and a closed gap ``GapClosedError``.
     """
-    theta = _check_angle(theta)
+    bulk._invariant(theta)
     _energy_family(energy)
-    if abs(np.sin(theta)) < bulk.GAP_TOL:
-        raise bulk.GapClosedError("decay constant diverges from kappa = 0 at sin(theta) = 0")
     gap, kappa = _decay(theta)
     return float(kappa(gap(0.0)))
 
 
 def single_boundary_existence(theta1: float, theta2: float) -> ExistenceVerdict:
-    """Bound states exist at a boundary iff sin(theta1) and sin(theta2) differ in sign."""
-    _check_angle(theta1)
+    """Bound states exist at a boundary iff theta1 and theta2 differ in ``bulk._invariant``; a closed gap is a verdict."""
     _check_angle(theta2)
-    s1, s2 = np.sin(theta1), np.sin(theta2)
-    if abs(s1) < bulk.GAP_TOL or abs(s2) < bulk.GAP_TOL:
+    try:
+        same = bulk._invariant(theta1) == bulk._invariant(theta2)
+    except bulk.GapClosedError:
         return ExistenceVerdict(False, REASON_GAP_CLOSED)
-    if np.sign(s1) != np.sign(s2):
-        return ExistenceVerdict(True, REASON_OPPOSITE)
-    return ExistenceVerdict(False, REASON_SAME_SIGN)
+    return ExistenceVerdict(not same, REASON_SAME_SIGN if same else REASON_OPPOSITE)
 
 
 def single_boundary_condition_residual(
@@ -173,11 +169,8 @@ def single_boundary_condition_residual(
 
 
 def _require_boundary_modes(theta1: float, theta2: float) -> None:
-    """Raise unless a boundary between theta1 and theta2 hosts E = 0, pi modes."""
-    verdict = single_boundary_existence(theta1, theta2)
-    if verdict.reason == REASON_GAP_CLOSED:
-        raise bulk.GapClosedError("no bound state: band gap closed")
-    if not verdict.exists:
+    """Raise unless a boundary between theta1 and theta2 hosts E = 0, pi modes; a closed gap raises ``GapClosedError``."""
+    if bulk._invariant(theta1) == bulk._invariant(theta2):
         raise ValueError("no bound state: sin(theta1) and sin(theta2) share a sign")
 
 

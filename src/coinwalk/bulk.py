@@ -18,7 +18,8 @@ x-y plane leaves only the off-diagonal amplitude
     h(k) = sin k - i sin(t) cos(k),
 
 whose winding around the origin over one Brillouin zone is the integer
-invariant m = sgn(sin theta).
+invariant m = sgn(sin theta).  ``_invariant`` alone decides m and its closed
+gap, |sin theta| < GAP_TOL; the chiral axis, the winding and ``boundstates`` read it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 class GapClosedError(ValueError):
     """Raised when an operation is undefined because the band gap is closed."""
+
+
+def _invariant(theta: float) -> int:
+    """The phase label m = sgn(sin theta); ``GapClosedError`` where |sin theta| < GAP_TOL closes the gap."""
+    s = np.sin(_check_angle(theta))
+    if abs(s) < GAP_TOL:
+        raise GapClosedError(f"band gap closed at sin(theta) = {s:.3g}: sgn(sin theta) is undefined")
+    return 1 if s > 0 else -1
 
 
 def pauli_vector(v) -> np.ndarray:
@@ -114,12 +123,8 @@ def effective_hamiltonian(theta: float, k: float) -> np.ndarray:
 
 
 def chiral_axis(theta: float) -> np.ndarray:
-    """Chiral axis A(theta) = sgn(sin t) (cos t, 0, -sin t); needs sin(theta) != 0."""
-    _check_angle(theta)
-    s = np.sin(theta)
-    if abs(s) < GAP_TOL:
-        raise GapClosedError("chiral axis undefined at sin(theta) = 0 (gap closed)")
-    return np.sign(s) * np.array([np.cos(theta), 0.0, -s])
+    """Chiral axis A(theta) = m (cos t, 0, -sin t) with m = ``_invariant(theta)``."""
+    return _invariant(theta) * np.array([np.cos(theta), 0.0, -np.sin(theta)])
 
 
 def chiral_operator(theta: float) -> np.ndarray:
@@ -157,15 +162,13 @@ def winding_number(theta: float, grid_points: int = 1024) -> WindingResult:
 
     Accumulates principal-value phase increments of h on a uniform k-grid,
     refining the grid if any single increment exceeds pi/2.  The rounded
-    integral equals sgn(sin theta); at sin(theta) = 0 the gap closes and the
-    invariant is undefined.  ``grid_points`` is an integer >= 64 by ``lattice._integers``.
+    integral must equal ``_invariant(theta)``, which raises where the gap closes.
+    ``grid_points`` is an integer >= 64 by ``lattice._integers``.
     """
-    _check_angle(theta)
+    label = _invariant(theta)
     pts = _integers(grid_points, "grid points")
     if pts < 64:
         raise ValueError("grid_points must be at least 64")
-    if abs(np.sin(theta)) < GAP_TOL:
-        raise GapClosedError("winding undefined: band gap closes at sin(theta) = 0")
     while True:
         k = np.linspace(-np.pi, np.pi, pts + 1)
         h = offdiagonal_h(theta, k)
@@ -177,8 +180,8 @@ def winding_number(theta: float, grid_points: int = 1024) -> WindingResult:
             raise RuntimeError("winding phase steps did not resolve under refinement")
     total = float(increments.sum() / (2 * np.pi))
     m = int(round(total))
-    if abs(total - m) > 1e-6 or m not in (-1, 1):
-        raise RuntimeError(f"winding integral {total!r} did not quantize to +/-1")
+    if abs(total - m) > 1e-6 or m != label:
+        raise RuntimeError(f"winding integral {total!r} did not quantize to sgn(sin theta) = {label}")
     return WindingResult(m=m, integral_value=total)
 
 

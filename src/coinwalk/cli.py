@@ -61,6 +61,7 @@ _NOT_PARAMS = ("command", "format", "output")
 # arithmetic.  Stepping is orthogonal, so the exact walk moves by at most sqrt(2L) * 1e-200;
 # rounding can carry the change to the last bits of tiny probs (seen near 1e-266).
 _TAIL_CUT = 1e-200
+_FAMILIES = {"0": 0.0, "pi": float(np.pi)}  # bound-state energy of each --energy and bound:FAMILY
 
 
 class UsageError(Exception):
@@ -246,9 +247,8 @@ def cmd_bound_single(args) -> None:
     columns = ("n", "site", "prob", "a_re", "a_im", "b_re", "b_im")
     data = [()] * len(columns)
     if verdict.exists:
-        energy = 0.0 if args.energy == "0" else float(np.pi)
         solution = single_boundary_mode(
-            args.theta1, args.theta2, energy, args.n_sites, offset=args.offset
+            args.theta1, args.theta2, _FAMILIES[args.energy], args.n_sites, offset=args.offset
         )
         extras.update(
             {
@@ -311,10 +311,9 @@ def _initial_state(args, profile) -> WalkerState:
             raise UsageError(f"--init site {site} is not a ring site 0..{profile.length - 1}")
         return delta_state(profile.length, int(site), *component)
     if text.startswith("bound:"):
-        family = text.split(":", 1)[1]
-        if family not in ("0", "pi"):
+        energy = _FAMILIES.get(text[len("bound:") :])
+        if energy is None:
             raise UsageError(f"malformed --init {text!r}; bound family must be 0 or pi")
-        energy = 0.0 if family == "0" else float(np.pi)
         if args.kind == "single":
             solution = single_boundary_mode(
                 args.theta1, args.theta2, energy, args.n_sites, offset=args.offset
@@ -418,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound-single", help="closed-form mode at a single boundary")
     p.add_argument("--theta1", type=_angle_in_pi_units, required=True)
     p.add_argument("--theta2", type=_angle_in_pi_units, required=True)
-    p.add_argument("--energy", choices=("0", "pi"), default="0")
+    p.add_argument("--energy", choices=_FAMILIES, default="0")
     p.add_argument("--n-sites", type=_positive_int, default=64)
     p.add_argument("--offset", type=int, default=None)
     _add_common(p)

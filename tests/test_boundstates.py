@@ -18,6 +18,7 @@ from coinwalk import (
     splitting_decay_rate,
     wire_condition_residual,
 )
+from coinwalk import boundstates, bulk, chiral_axis, winding_number
 from coinwalk.lattice import _coin_entries
 
 LOG_SILVER = np.log(1 + np.sqrt(2.0))        # decay constant at theta = pi/4
@@ -90,6 +91,69 @@ class TestExistence:
         assert not verdict.exists and verdict.reason == "gap-closed"
 
 
+# angles on, next to and away from the gap closings at sin(theta) = 0, and the reflecting coins
+RULE_ANGLES = [0.0, np.pi, -np.pi, 5e-10, -5e-10, 2e-9, -2e-9, np.pi / 2, -np.pi / 2,
+               0.3 * np.pi, -0.3 * np.pi, 0.7 * np.pi, -0.7 * np.pi]
+RULE_CLOSED = [0.0, np.pi, -np.pi, 5e-10, -5e-10]  # |sin theta| below 1e-9
+
+
+def rule_label(theta):
+    """m = sgn(sin theta) written out: None where the gap closes, else the sign of theta in (-pi, pi)."""
+    return None if theta in RULE_CLOSED else int(np.sign(theta))
+
+
+class TestOnePhaseRule:
+    """Every reader of m = sgn(sin theta) agrees on the label and on exactly which angles close the gap."""
+
+    @pytest.mark.parametrize("theta", RULE_ANGLES, ids=repr)
+    def test_single_angle_readers(self, theta):
+        label = rule_label(theta)
+        readers = (bulk._invariant, chiral_axis, winding_number, lambda t: decay_constant(t, 0.0))
+        if label is None:
+            for reader in readers:
+                with pytest.raises(GapClosedError):
+                    reader(theta)
+            return
+        assert bulk._invariant(theta) == label
+        assert winding_number(theta).m == label
+        assert chiral_axis(theta) @ [np.cos(theta), 0.0, -np.sin(theta)] == pytest.approx(label, abs=1e-15)
+        if abs(theta) == np.pi / 2:
+            with pytest.raises(ValueError, match="hard wall"):  # gapped, but kappa is infinite
+                decay_constant(theta, 0.0)
+        else:
+            assert decay_constant(theta, 0.0) > 0
+
+    @pytest.mark.parametrize("theta2", RULE_ANGLES, ids=repr)
+    @pytest.mark.parametrize("theta1", RULE_ANGLES, ids=repr)
+    def test_boundary_readers(self, theta1, theta2):
+        m1, m2 = rule_label(theta1), rule_label(theta2)
+        verdict = single_boundary_existence(theta1, theta2)
+        if m1 is None or m2 is None:
+            assert (verdict.exists, verdict.reason) == (False, "gap-closed")
+            with pytest.raises(GapClosedError):
+                boundstates._require_boundary_modes(theta1, theta2)
+        elif m1 == m2:
+            assert (verdict.exists, verdict.reason) == (False, "same-sign-no-bound-state")
+            with pytest.raises(ValueError, match="share a sign") as raised:
+                boundstates._require_boundary_modes(theta1, theta2)
+            assert not isinstance(raised.value, GapClosedError)
+        else:
+            assert (verdict.exists, verdict.reason) == (True, "opposite-sign-ok")
+            boundstates._require_boundary_modes(theta1, theta2)
+
+    @pytest.mark.parametrize("theta1,theta2", [(0.0, 4.0), (4.0, 0.0), (0.3, np.nan)])
+    def test_angle_out_of_range_raises_before_any_verdict(self, theta1, theta2):
+        # a closed gap on one side does not turn the other side's bad angle into a verdict
+        with pytest.raises(ValueError, match="coin angle must lie in") as raised:
+            single_boundary_existence(theta1, theta2)
+        assert not isinstance(raised.value, GapClosedError)
+
+    def test_winding_integral_is_checked_against_the_label(self, monkeypatch):
+        monkeypatch.setattr(bulk, "_invariant", lambda theta: -1)
+        with pytest.raises(RuntimeError, match="did not quantize"):
+            winding_number(0.3 * np.pi)
+
+
 class TestSingleBoundaryCondition:
     def test_vanishes_for_opposite_signs(self):
         kappa = decay_constant(np.pi / 4, 0.0)
@@ -110,6 +174,10 @@ class TestSingleBoundaryCondition:
         with pytest.raises(ValueError):
             single_boundary_condition_residual(np.pi / 3, np.pi - np.pi / 3, 0.0, 0.5, 0.5)
 
+    def test_non_positive_decay_constant_rejected(self):
+        with pytest.raises(ValueError, match="decay constants must be positive"):
+            single_boundary_condition_residual(np.pi / 4, -np.pi / 4, 0.0, 0.0, 1.0)
+
 
 class TestBlockConditions:
     @pytest.mark.parametrize("block_length", [2.5, -5, np.array(3.0)])
@@ -121,6 +189,11 @@ class TestBlockConditions:
             antisymmetric_condition_residual(-0.3 * np.pi, 0.35 * np.pi, 0.01, block_length)
         with pytest.raises(ValueError, match="block lengths"):
             antisymmetric_mode(-0.3 * np.pi, 0.35 * np.pi, 0.0, block_length, 64)
+
+    def test_antisymmetric_energy_outside_the_window_rejected(self):
+        # sin E = sin 1.2 exceeds |sin theta1| = sin 0.3 pi: no evanescent tail
+        with pytest.raises(ValueError, match="outside the bound-state window"):
+            antisymmetric_condition_residual(-0.3 * np.pi, 0.35 * np.pi, 1.2, 5)
 
     def test_integer_block_lengths_of_any_type_agree(self):
         for residual, theta1 in ((wire_condition_residual, -np.pi / 2), (antisymmetric_condition_residual, -0.3 * np.pi)):

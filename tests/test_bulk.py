@@ -73,6 +73,15 @@ class TestEigenspinor:
         with pytest.raises(GapClosedError):
             eigenspinor(0.0, 0.0)
 
+    def test_branch_must_be_a_sign(self):
+        with pytest.raises(ValueError, match="branch must be"):
+            eigenspinor(0.3 * np.pi, 0.1, branch=0)
+
+    def test_degenerate_spinor_rejected(self):
+        # theta = 0 and k = -0.5: sin E = 0.5 is gapped, but the raw spinor vanishes
+        with pytest.raises(ValueError, match="degenerates"):
+            eigenspinor(0.0, -0.5)
+
 
 class TestEigenspinorRaw:
     def test_parallel_to_normalized_at_real_momentum(self):

@@ -538,6 +538,14 @@ class TestUsageErrors:
         # argparse puts a usage line before its error line; wire-spectrum has none
         assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
+    @pytest.mark.parametrize("n_sites", ["0", "x"])
+    def test_n_sites_not_a_positive_integer(self, capsys, n_sites):
+        code = main(["diagonalize", "--kind", "uniform", "--theta1", "0.25", "--n-sites", n_sites])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-0.5"])
     def test_ipr_threshold_out_of_range(self, capsys, threshold):
         code = main(
@@ -580,6 +588,33 @@ class TestEntryPoint:
         assert done.returncode == 0
         assert done.stdout.strip() == "False"
 
+    def test_no_subcommand_imports_numpy_ma(self):
+        # numpy.ma costs tens of ms of a fresh process's first request, and no subcommand needs it
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        probe = textwrap.dedent(
+            """
+            import os, sys
+            from coinwalk.cli import main
+            requests = [
+                "dispersion --theta 0 --k-points 16 --format csv",
+                "winding --theta-min -1 --theta-max 1 --steps 9",
+                "bound-single --theta1 0.25 --theta2 -0.25 --energy pi",
+                "wire-spectrum --theta2-list 1/3,1/4,0 --n-max 8",
+                "evolve --kind single --theta1 -0.3 --theta2 0.35 --steps 20 --init bound:0",
+                "diagonalize --kind antisymmetric --theta1 -0.3 --theta2 0.35 --wire-length 8 --n-sites 64",
+            ]
+            for request in requests:
+                code = main(request.split() + ["--output", os.devnull])
+                print(request.split()[0], code, "numpy.ma" in sys.modules)
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        commands = ["dispersion", "winding", "bound-single", "wire-spectrum", "evolve", "diagonalize"]
+        assert done.stdout.splitlines() == [f"{command} 0 False" for command in commands]
 
     def test_runs_without_scipy(self):
         # scipy is a test-only dependency: with every scipy import made to fail,

@@ -434,3 +434,12 @@ class TestWalkerStateInvariants:
         state = delta_state(4, 0)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
+
+    def test_delta_component_is_left_or_right(self):
+        with pytest.raises(ValueError, match="component must be"):
+            delta_state(8, 0, "up")
+
+    @pytest.mark.parametrize("angles", [np.zeros((2, 2)), []], ids=["two-dimensional", "empty"])
+    def test_profile_needs_one_dimensional_angles(self, angles):
+        with pytest.raises(ValueError, match="one-dimensional, non-empty"):
+            CoinProfile(angles)

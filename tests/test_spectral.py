@@ -514,6 +514,13 @@ def test_lazy_result_stays_a_frozen_dataclass():
     assert result.columns([3]).shape == (32, 1)
 
 
+def test_lazy_result_lacks_other_attributes():
+    # the lazy lookup builds "vectors" only; any other missing name is an AttributeError
+    result = diagonalize(build_profile("uniform", 16, 0.3 * np.pi))
+    assert not hasattr(result, "nope")
+    assert "vectors" not in result.__dict__
+
+
 def test_result_repr_and_equality_build_no_vector():
     # repr leaves the lazy vectors unbuilt, and == is identity, not an array comparison
     profile = build_profile("uniform", 16, 0.3 * np.pi)
